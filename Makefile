@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 30s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race bench bench-json bench-batch bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke clean
+.PHONY: all build vet test race bench bench-json bench-batch bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke perfbench-test perfbench-smoke clean
 
 all: build vet test
 
@@ -33,8 +33,9 @@ lint-metrics:
 	sh scripts/metric_lint.sh
 
 # check is the local all-in-one gate: formatting, metric-name lint,
-# vet, build, the plain test suite, the race-enabled test suite, and the
-# fleet smoke. The plain run matters:
+# vet, build, the plain test suite, the race-enabled test suite, the
+# session benchmark's own tests and short runs, and the fleet and store
+# smokes. The plain run matters:
 # the allocation-regression gates (testing.AllocsPerRun in
 # internal/coverage) skip themselves under -race, so only a non-race
 # pass enforces the zero-allocs-per-Evaluate promise. CI splits the same
@@ -42,7 +43,7 @@ lint-metrics:
 # fast-fail gate, an {ubuntu, macos} x {oldest Go, stable} build+test
 # matrix, a dedicated -race job, serving smokes, and a
 # benchmark-regression job.
-check: fmtcheck lint-metrics vet build test race fleet-smoke store-smoke
+check: fmtcheck lint-metrics vet build test race perfbench-test perfbench-smoke fleet-smoke store-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -119,6 +120,20 @@ fleet-smoke:
 # scripts/store_smoke.sh.
 store-smoke:
 	sh scripts/store_smoke.sh
+
+# perfbench-test runs the session benchmark's own tests (perfbench is a
+# module of its own, so ./... above does not reach it): every output
+# check must reject a corrupted output.
+perfbench-test:
+	cd perfbench && $(GO) test .
+
+# perfbench-smoke runs each perfbench workload for five seconds and fails
+# on any failed session or output check, so every change meets the
+# benchmark's independent join and Definition 2.1 brute force.
+perfbench-smoke:
+	for w in order mediate serve; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 || exit 1; \
+	done
 
 clean:
 	rm -rf internal/schema/testdata internal/domfile/testdata

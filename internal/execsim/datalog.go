@@ -17,30 +17,28 @@ import (
 // EvalProgram returns an error for unsafe rules (every rule must satisfy
 // Query.Validate).
 func EvalProgram(rules []*schema.Query, edb DB) (DB, error) {
-	for _, r := range rules {
+	idb := make(map[string]bool)
+	progs := make([]*program, len(rules))
+	for i, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, fmt.Errorf("execsim: %w", err)
 		}
-	}
-	idb := make(map[string]bool)
-	for _, r := range rules {
 		idb[r.Name] = true
+		progs[i] = compile(r.HeadAtom(), r.Body)
 	}
 
-	// facts: all known atoms (EDB ∪ derived IDB), with dedup indexes.
-	facts := make(DB)
-	seen := make(map[string]bool)
-	add := func(a schema.Atom, into DB) bool {
-		k := a.String()
-		if seen[k] {
-			return false
+	// facts: all known atoms (EDB ∪ derived IDB), grouped by predicate,
+	// with known as their dedup index.
+	facts, known := make(DB), NewAnswerSet()
+	add := func(a schema.Atom, into DB) {
+		if !known.put(a) {
+			return
 		}
-		seen[k] = true
+		a = known.atoms[len(known.atoms)-1]
 		facts[a.Pred] = append(facts[a.Pred], a)
 		if into != nil {
 			into[a.Pred] = append(into[a.Pred], a)
 		}
-		return true
 	}
 	for _, atoms := range edb {
 		for _, a := range atoms {
@@ -48,43 +46,31 @@ func EvalProgram(rules []*schema.Query, edb DB) (DB, error) {
 		}
 	}
 
-	// fire evaluates one rule; the atom at position deltaPos (if >= 0)
+	// fire evaluates rule ri; the atom at position deltaPos (if >= 0)
 	// ranges over delta, the others over all facts. Derived heads that are
 	// new go into out.
-	fire := func(r *schema.Query, deltaPos int, delta DB, out DB) error {
-		var rec func(i int, sub schema.Subst) error
-		rec = func(i int, sub schema.Subst) error {
-			if i == len(r.Body) {
-				head := sub.ApplyAtom(r.HeadAtom())
-				for _, t := range head.Args {
-					if t.IsVar() {
-						return fmt.Errorf("execsim: non-ground derived fact %s from rule %s", head, r)
-					}
-				}
-				add(head, out)
-				return nil
-			}
-			goal := r.Body[i]
-			src := facts[goal.Pred]
+	fire := func(ri, deltaPos int, delta DB, out DB) error {
+		p := progs[ri]
+		return p.run(func(i int) []schema.Atom {
 			if i == deltaPos {
-				src = delta[goal.Pred]
+				return delta[p.steps[i].pred]
 			}
-			for _, tuple := range src {
-				if ext, ok := schema.MatchAtom(goal, tuple, sub); ok {
-					if err := rec(i+1, ext); err != nil {
-						return err
-					}
+			return facts[p.steps[i].pred]
+		}, func(head schema.Atom) error {
+			for _, t := range head.Args {
+				if t.IsVar() {
+					return fmt.Errorf("execsim: non-ground derived fact %s from rule %s", head, rules[ri])
 				}
 			}
+			add(head, out)
 			return nil
-		}
-		return rec(0, schema.Subst{})
+		})
 	}
 
 	// First round: naive evaluation of every rule over the EDB.
 	delta := make(DB)
-	for _, r := range rules {
-		if err := fire(r, -1, nil, delta); err != nil {
+	for ri := range rules {
+		if err := fire(ri, -1, nil, delta); err != nil {
 			return nil, err
 		}
 	}
@@ -92,15 +78,12 @@ func EvalProgram(rules []*schema.Query, edb DB) (DB, error) {
 	// a body atom matching a fact from the last delta.
 	for len(delta) > 0 {
 		next := make(DB)
-		for _, r := range rules {
+		for ri, r := range rules {
 			for i, goal := range r.Body {
-				if !idb[goal.Pred] {
+				if !idb[goal.Pred] || len(delta[goal.Pred]) == 0 {
 					continue
 				}
-				if len(delta[goal.Pred]) == 0 {
-					continue
-				}
-				if err := fire(r, i, delta, next); err != nil {
+				if err := fire(ri, i, delta, next); err != nil {
 					return nil, err
 				}
 			}

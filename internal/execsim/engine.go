@@ -6,6 +6,7 @@ import (
 
 	"qporder/internal/lav"
 	"qporder/internal/obs"
+	"qporder/internal/physopt"
 	"qporder/internal/schema"
 )
 
@@ -29,7 +30,14 @@ type Engine struct {
 	// rng drives failure simulation; nil disables failures.
 	rng *rand.Rand
 
-	cache map[string][]schema.Atom
+	cache map[accessKey][]schema.Atom
+	// indexes group a source's tuples on one argument position, built
+	// at first use. They belong to the engine, not the shared store, so
+	// a session's indexes go with it.
+	indexes map[indexKey]map[schema.Term][]schema.Atom
+	// answers deduplicates one plan's head instances; it is reset and
+	// reused by every execution.
+	answers *AnswerSet
 
 	// Cost is the accumulated execution cost in cost units.
 	Cost float64
@@ -57,7 +65,8 @@ type Engine struct {
 // NewEngine builds an engine over source contents. The store maps source
 // names (catalog names) to their tuples.
 func NewEngine(cat *lav.Catalog, store DB) *Engine {
-	return &Engine{cat: cat, store: store, cache: make(map[string][]schema.Atom)}
+	return &Engine{cat: cat, store: store, cache: make(map[accessKey][]schema.Atom),
+		indexes: make(map[indexKey]map[schema.Term][]schema.Atom), answers: NewAnswerSet()}
 }
 
 // Instrument mirrors the engine's accounting into registry counters
@@ -83,73 +92,69 @@ func (e *Engine) EnableFailures(seed int64) {
 }
 
 // ExecutePlan evaluates the plan query with a left-to-right nested-loop
-// strategy: each body atom triggers one source operation per distinct
-// binding pattern of its bound arguments; returned tuples extend the
-// bindings. The distinct head instances are returned.
+// strategy: each body atom triggers one source operation per binding of
+// the atoms before it, pushing the bound arguments into the source;
+// returned tuples extend the bindings. The distinct head instances are
+// returned. It is ExecutePhysical on the all-Bind schedule in body order.
 func (e *Engine) ExecutePlan(pq *schema.Query) ([]schema.Atom, error) {
-	for _, a := range pq.Body {
-		if _, ok := e.cat.ByName(a.Pred); !ok {
-			return nil, fmt.Errorf("execsim: plan atom %s is not a catalog source", a)
-		}
+	steps := make([]physopt.Step, len(pq.Body))
+	for i, a := range pq.Body {
+		steps[i] = physopt.Step{Atom: a, Method: physopt.Bind}
 	}
-	var out []schema.Atom
-	seen := make(map[string]bool)
-	var rec func(i int, sub schema.Subst) error
-	rec = func(i int, sub schema.Subst) error {
-		if i == len(pq.Body) {
-			head := sub.ApplyAtom(pq.HeadAtom())
-			if k := head.String(); !seen[k] {
-				seen[k] = true
-				out = append(out, head)
-			}
-			return nil
-		}
-		goal := sub.ApplyAtom(pq.Body[i])
-		matches, err := e.access(i, goal)
-		if err != nil {
-			return err
-		}
-		for _, tuple := range matches {
-			ext, ok := schema.MatchAtom(goal, tuple, sub)
-			if !ok {
-				continue
-			}
-			if err := rec(i+1, ext); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0, schema.Subst{}); err != nil {
-		return nil, err
-	}
-	sortAtoms(out)
-	return out, nil
+	return e.ExecutePhysical(&physopt.Plan{Name: pq.Name, Head: pq.Head, Steps: steps})
 }
 
-// unbound reports whether the access goal constrains no argument — the
-// case where the source's Tuples statistic directly estimates the
-// result size.
-func unbound(goal schema.Atom) bool {
-	for _, t := range goal.Args {
-		if !t.IsVar() {
-			return false
+// ExecutePhysical evaluates a physical plan. Scan steps fetch the
+// source's relation once, up front (binding-independent, hence shareable
+// through the operation cache); Bind steps push the current bindings into
+// the source, one access per binding of the steps before them.
+func (e *Engine) ExecutePhysical(pp *physopt.Plan) ([]schema.Atom, error) {
+	body := make([]schema.Atom, len(pp.Steps))
+	scanned := make([][]schema.Atom, len(pp.Steps))
+	for i, s := range pp.Steps {
+		if _, ok := e.cat.ByName(s.Atom.Pred); !ok {
+			return nil, fmt.Errorf("execsim: plan atom %s is not a catalog source", s.Atom)
+		}
+		body[i] = s.Atom
+	}
+	for i, s := range pp.Steps {
+		if s.Method == physopt.Scan {
+			scanned[i] = e.access(i, s.Atom) // unconditional work
 		}
 	}
-	return true
+	p := compile(schema.Atom{Pred: pp.Name, Args: pp.Head}, body)
+	e.answers.reset()
+	_ = p.run(func(i int) []schema.Atom { // emit cannot fail
+		if pp.Steps[i].Method == physopt.Scan {
+			return scanned[i]
+		}
+		return e.access(i, p.instance(&p.steps[i]))
+	}, func(head schema.Atom) error { e.answers.put(head); return nil })
+	return e.answers.sorted(), nil
+}
+
+// accessKey identifies a source operation for the cache: the plan
+// position and the goal's value.
+type accessKey struct {
+	pos  int
+	goal atomKey
 }
 
 // access performs one source operation: fetch the tuples of goal's source
 // matching goal's bound arguments. Costs: overhead per attempt (failures
 // retry), transmission cost per returned tuple. With caching on, an
-// identical operation is free.
-func (e *Engine) access(pos int, goal schema.Atom) ([]schema.Atom, error) {
-	key := fmt.Sprintf("%d/%s", pos, goal.String())
+// identical operation is free. goal may be scratch space: access keeps
+// only its value. The rows returned hold every match in store order,
+// and possibly rows that fail goal, which the caller's match step drops;
+// only the matches are paid for and reported.
+func (e *Engine) access(pos int, goal schema.Atom) []schema.Atom {
+	var key accessKey
 	if e.Caching {
+		key = accessKey{pos, keyOf(goal)}
 		if res, ok := e.cache[key]; ok {
 			e.CacheHits++
 			e.cCacheHits.Inc()
-			return res, nil
+			return res
 		}
 	}
 	src, _ := e.cat.ByName(goal.Pred)
@@ -167,24 +172,62 @@ func (e *Engine) access(pos int, goal schema.Atom) ([]schema.Atom, error) {
 	}
 	e.Cost += st.Overhead
 
-	var res []schema.Atom
-	for _, tuple := range e.store[goal.Pred] {
-		if _, ok := schema.MatchAtom(goal, tuple, schema.Subst{}); ok {
-			res = append(res, tuple)
-		}
-	}
-	e.Cost += st.TransmitCost * float64(len(res))
+	rows, n, unbound := e.lookup(goal)
+	e.Cost += st.TransmitCost * float64(n)
 	e.Accesses++
 	e.cSourceCalls.Inc()
-	e.cTuples.Add(int64(len(res)))
-	if e.calib != nil && unbound(goal) {
-		e.calib.ObserveSource(goal.Pred, st.Tuples, float64(len(res)))
+	e.cTuples.Add(int64(n))
+	if e.calib != nil && unbound {
+		e.calib.ObserveSource(goal.Pred, st.Tuples, float64(n))
 	}
 	if e.Caching {
-		e.cache[key] = res
+		e.cache[key] = rows
 	}
 	if e.OnAccess != nil {
-		e.OnAccess(goal.Pred, len(res), failed)
+		e.OnAccess(goal.Pred, n, failed)
 	}
-	return res, nil
+	return rows
+}
+
+// indexKey names an index: a source's tuples of one arity grouped on
+// the value at one argument position, or in a single group when pos is
+// -1.
+type indexKey struct {
+	pred       string
+	arity, pos int
+}
+
+// lookup returns goal's candidate rows, in store order: the bucket of
+// its first constant in that position's index, or its whole relation
+// when goal has no constant, shared and never copied. It also returns
+// how many rows match goal and whether goal has no constant.
+func (e *Engine) lookup(goal schema.Atom) (rows []schema.Atom, matches int, unbound bool) {
+	k, val := indexKey{goal.Pred, len(goal.Args), -1}, schema.Term{}
+	for j, t := range goal.Args {
+		if t.Const {
+			k.pos, val = j, t
+			break
+		}
+	}
+	idx, ok := e.indexes[k]
+	if !ok {
+		idx = make(map[schema.Term][]schema.Atom)
+		for _, t := range e.store[k.pred] {
+			if t.Pred == k.pred && len(t.Args) == k.arity {
+				v := schema.Term{}
+				if k.pos >= 0 {
+					v = t.Args[k.pos]
+				}
+				idx[v] = append(idx[v], t)
+			}
+		}
+		e.indexes[k] = idx
+	}
+	rows = idx[val]
+	for _, t := range rows {
+		if groundMatch(goal, t) {
+			matches++
+		}
+	}
+	return rows, matches, k.pos < 0
 }

@@ -35,33 +35,23 @@ func GenerateWorld(cfg WorldConfig) DB {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	db := make(DB)
 	for _, rel := range cfg.Relations {
-		seen := make(map[string]bool)
+		seen, distinct := NewAnswerSet(), 1
+		for i := 0; i < rel.Arity; i++ {
+			distinct *= cfg.DomainSize
+		}
 		for len(db[rel.Name]) < cfg.TuplesPerRelation {
-			vals := make([]string, rel.Arity)
-			for i := range vals {
-				vals[i] = fmt.Sprintf("c%d", rng.Intn(cfg.DomainSize))
+			a := schema.Atom{Pred: rel.Name, Args: make([]schema.Term, rel.Arity)}
+			for i := range a.Args {
+				a.Args[i] = schema.Const(fmt.Sprintf("c%d", rng.Intn(cfg.DomainSize)))
 			}
-			key := fmt.Sprint(vals)
-			if seen[key] {
-				// Tolerate saturation of small domains.
-				if len(seen) >= pow(cfg.DomainSize, rel.Arity) {
-					break
-				}
-				continue
+			if seen.Add([]schema.Atom{a}) == 1 {
+				db[rel.Name] = append(db[rel.Name], a)
+			} else if seen.Len() >= distinct {
+				break // tolerate saturation of small domains
 			}
-			seen[key] = true
-			db.Add(rel.Name, vals...)
 		}
 	}
 	return db
-}
-
-func pow(b, e int) int {
-	out := 1
-	for i := 0; i < e; i++ {
-		out *= b
-	}
-	return out
 }
 
 // PopulateSources derives source contents from a world: each source holds
@@ -83,16 +73,34 @@ func PopulateSourcesWith(cat *lav.Catalog, world DB, completeness func(source st
 			continue
 		}
 		c := completeness(src.Name)
-		full := Eval(src.Def, world)
-		for _, a := range full {
+		var picked []schema.Atom
+		for _, a := range Eval(src.Def, world) {
 			if rng.Float64() < c {
-				store[src.Name] = append(store[src.Name],
-					schema.Atom{Pred: src.Name, Args: a.Args})
+				picked = append(picked, schema.Atom{Pred: src.Name, Args: a.Args})
 			}
 		}
-		if store[src.Name] == nil {
-			store[src.Name] = nil // present but possibly empty
-		}
+		store[src.Name] = packed(picked) // present but possibly empty
 	}
 	return store
+}
+
+// packed copies atoms into exactly sized storage, every argument in one
+// shared allocation, so a long-lived relation carries no append slack
+// and one object per relation instead of one per tuple. No atoms give
+// nil.
+func packed(atoms []schema.Atom) []schema.Atom {
+	if len(atoms) == 0 {
+		return nil
+	}
+	n := 0
+	for _, a := range atoms {
+		n += len(a.Args)
+	}
+	terms, out := make([]schema.Term, 0, n), make([]schema.Atom, len(atoms))
+	for i, a := range atoms {
+		k := len(terms)
+		terms = append(terms, a.Args...)
+		out[i] = schema.Atom{Pred: a.Pred, Args: terms[k:len(terms):len(terms)]}
+	}
+	return out
 }

@@ -36,6 +36,9 @@ type prober struct {
 	shards []*shardState
 	ring   *Ring
 	onFlip func(url string, up bool) // called under mu; must not block
+	// hold, when non-nil, keeps the loop from probing until it is
+	// closed, so a test can meet the optimistic all-up view first.
+	hold <-chan struct{}
 
 	stop chan struct{}
 	done chan struct{}
@@ -65,6 +68,13 @@ func newProber(urls []string, replicas int, client *http.Client, interval, timeo
 // run is the probe loop; call in a goroutine, stop with close().
 func (p *prober) run() {
 	defer close(p.done)
+	if p.hold != nil {
+		select {
+		case <-p.hold:
+		case <-p.stop:
+			return
+		}
+	}
 	p.probeAll()
 	t := time.NewTicker(p.interval)
 	defer t.Stop()

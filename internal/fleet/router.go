@@ -67,6 +67,10 @@ type Config struct {
 	// burn-rate gauges on Registry) and tail-samples TraceOut: only
 	// errored, objective-violating, or budget-burning sessions export.
 	SLO *obs.SLOMonitor
+
+	// probeHold, when non-nil, holds the health prober before its
+	// startup probe until the channel is closed (tests only).
+	probeHold <-chan struct{}
 }
 
 // Router is the stateless fleet front end: it owns no ordering state and
@@ -186,6 +190,7 @@ func New(cfg Config) (*Router, error) {
 			rt.shardsUp.Set(float64(n))
 		})
 	}
+	rt.prober.hold = cfg.probeHold
 	go rt.prober.run()
 
 	rt.mux = http.NewServeMux()

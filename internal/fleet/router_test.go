@@ -150,18 +150,25 @@ func TestProxyAffinity(t *testing.T) {
 	}
 }
 
+// deadShard reserves a port and closes its listener, so connections to
+// the returned URL are refused.
+func deadShard() string {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	return dead.URL
+}
+
 // TestProxyRetryFlakyShard: the ring owner refuses connections, so the
 // router must mark it down, back off, and reroute to the next ring node
-// with zero client-visible errors.
+// with zero client-visible errors. The prober is held for the whole
+// test: its startup probe would otherwise race the request and could
+// take the dead owner off the ring first, leaving no retry to observe.
 func TestProxyRetryFlakyShard(t *testing.T) {
 	shards := startShards(t, 2)
-	// A dead listener: reserve a port, then close it so connections fail.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
+	deadURL := deadShard()
 
 	all := append([]string{deadURL}, shards...)
-	rt, url := startRouter(t, all, nil)
+	rt, url := startRouter(t, all, func(c *Config) { c.probeHold = make(chan struct{}) })
 
 	// Find a query whose ring owner is the dead shard, so the proxy path
 	// must actually retry (the ring starts optimistically all-up).
@@ -195,6 +202,43 @@ func TestProxyRetryFlakyShard(t *testing.T) {
 		if h == deadURL {
 			t.Errorf("dead shard %s still in healthy set", deadURL)
 		}
+	}
+}
+
+// TestStartupProbeMarksRefusingShardDown: the prober's first probe runs
+// at once, before any tick, and takes a shard that refuses connections
+// off the ring.
+func TestStartupProbeMarksRefusingShardDown(t *testing.T) {
+	live := startShards(t, 1)[0]
+	deadURL := deadShard()
+	hold := make(chan struct{})
+	flipped := make(chan string, 2)
+	rt, _ := startRouter(t, []string{deadURL, live}, func(c *Config) {
+		c.probeHold = hold
+		c.HealthInterval = time.Hour // no tick can run during the test
+		c.Logf = func(format string, args ...any) {
+			if msg := fmt.Sprintf(format, args...); strings.HasSuffix(msg, "up=false") {
+				flipped <- msg
+			}
+		}
+	})
+	if h := rt.prober.healthy(); len(h) != 2 {
+		t.Fatalf("healthy set before the first probe = %v, want both shards", h)
+	}
+	close(hold)
+	select {
+	case msg := <-flipped:
+		if !strings.Contains(msg, deadURL) {
+			t.Fatalf("startup probe flipped the wrong shard: %s", msg)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("startup probe never marked the refusing shard down")
+	}
+	if h := rt.prober.healthy(); len(h) != 1 || h[0] != live {
+		t.Errorf("healthy set after the startup probe = %v, want [%s]", h, live)
+	}
+	if got := rt.flips.Value(); got != 1 {
+		t.Errorf("probe_flips = %d, want 1", got)
 	}
 }
 
@@ -253,10 +297,7 @@ func TestProxyBackoffOn503(t *testing.T) {
 // TestProxyExhaustedRetries: when every attempt fails the client gets a
 // structured 503, not a hung or empty response.
 func TestProxyExhaustedRetries(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-	rt, url := startRouter(t, []string{deadURL}, nil)
+	rt, url := startRouter(t, []string{deadShard()}, nil)
 	status, events := post(t, url, map[string]any{"query": fleetQuery})
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", status)

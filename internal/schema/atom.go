@@ -60,6 +60,11 @@ func containsTerm(ts []Term, t Term) bool {
 // String renders "pred(a, B, c)".
 func (a Atom) String() string {
 	var b strings.Builder
+	n := len(a.Pred) + 2
+	for _, t := range a.Args {
+		n += len(t.Name) + 2
+	}
+	b.Grow(n)
 	b.WriteString(a.Pred)
 	b.WriteByte('(')
 	for i, t := range a.Args {

@@ -56,21 +56,39 @@ func UnifyAtoms(a, b Atom, s Subst) (Subst, bool) {
 // MatchAtom attempts to extend s so that s(pattern) == ground, where
 // ground contains only constants. Unlike full unification it never binds
 // anything inside ground. Returns the extended substitution and success.
+//
+// The match is decided before anything is allocated: each argument is
+// compared under s, and a variable s leaves unbound must agree with the
+// ground value at its first occurrence in pattern. Only a success copies
+// s; s itself is never modified.
 func MatchAtom(pattern, ground Atom, s Subst) (Subst, bool) {
 	if pattern.Pred != ground.Pred || len(pattern.Args) != len(ground.Args) {
 		return s, false
 	}
-	cur := s.Clone()
 	for i, pt := range pattern.Args {
 		gt := ground.Args[i]
-		pt = resolve(pt, cur)
-		switch {
-		case pt.Const:
+		if pt = resolve(pt, s); pt.Const {
 			if pt != gt {
 				return s, false
 			}
-		default:
-			cur[pt] = gt
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if resolve(pattern.Args[j], s) == pt {
+				if ground.Args[j] != gt {
+					return s, false
+				}
+				break
+			}
+		}
+	}
+	cur := make(Subst, len(s)+len(pattern.Args))
+	for k, v := range s {
+		cur[k] = v
+	}
+	for i, pt := range pattern.Args {
+		if pt = resolve(pt, s); !pt.Const {
+			cur[pt] = ground.Args[i]
 		}
 	}
 	return cur, true
