@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "experiments: all, fig6, fig6a..fig6l, overlap, qlen, evalfrac, ablation, tta, soundness, greedy, par, serve, fleet, calibration, batch, store (comma-separated)")
+		expFlag   = flag.String("exp", "all", "experiments: all, fig6, fig6a..fig6l, overlap, qlen, evalfrac, ablation, tta, soundness, greedy, par, serve, fleet, calibration, store (comma-separated)")
 		sizesFlag = flag.String("sizes", "10,20,40,60,80", "bucket sizes for Figure 6 panels")
 		seed      = flag.Int64("seed", 42, "workload seed")
 		qlen      = flag.Int("qlen", 3, "query length (paper default 3)")
@@ -273,17 +273,6 @@ func main() {
 		}
 	}
 
-	var batchRecs []experiment.MetricRecord
-	if wants("batch") {
-		fmt.Println("== Frontier-batched evaluation: tiled kernels vs per-plan scalar, coverage ==")
-		// A fixed bucket size keeps the {algo, bucket, k=frontier}
-		// baseline keys stable regardless of -sizes.
-		cfg := base
-		cfg.BucketSize = 20
-		batchRecs = experiment.RunBatchSweep(dc.Get(cfg), experiment.DefaultBatchFrontiers, *reps)
-		render(experiment.BatchTable(batchRecs))
-	}
-
 	if wants("greedy") {
 		fmt.Println("== Greedy scaling (Section 4): linear cost, k=20 ==")
 		t := stats.NewTable("bucket", "greedy-time", "greedy-evals", "exhaustive-time", "exhaustive-evals")
@@ -302,7 +291,6 @@ func main() {
 
 	if *metrics != "" || *compare != "" {
 		rep := buildMetrics(dc, sizes, base, reg, *par, *reps)
-		rep.Records = append(rep.Records, batchRecs...)
 		rep.Serve = serveRecs
 		rep.Fleet = fleetRecs
 		rep.Store = storeRecs

@@ -5,8 +5,8 @@
 // have been reached" — and because ordering is incremental, "the rest of
 // the plans can be found while the execution has begun". This example
 // builds the full pipeline with qporder.NewMediator (auto-selected
-// algorithm, soundness filtering, physical optimization, prefetching) and
-// runs the same query under three different budgets.
+// algorithm, soundness filtering, physical optimization, pipelined
+// ordering) and runs the same query under three different budgets.
 package main
 
 import (
@@ -61,10 +61,10 @@ func main() {
 			Measure: func(entries *qporder.Catalog) qporder.Measure {
 				return qporder.NewChainCost(entries, qporder.CostParams{N: 20000, Failure: true})
 			},
-			Algorithm: qporder.AlgoAuto, // → Streamer (diminishing returns holds)
-			Physical:  true,
-			PhysN:     20000,
-			Prefetch:  true,
+			Algorithm:   qporder.AlgoAuto, // → Streamer (diminishing returns holds)
+			Physical:    true,
+			PhysN:       20000,
+			Parallelism: 2,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -10,23 +10,15 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync/atomic"
 )
 
 const wordBits = 64
 
 // Set is a fixed-size bitset. The zero value is unusable; create sets with
-// New. Sets are not safe for concurrent mutation. Sets are handled by
-// pointer throughout (tlen makes them non-copyable).
+// New. Sets are not safe for concurrent mutation.
 type Set struct {
 	n     int // capacity in bits
 	words []uint64
-
-	// tlen caches TrimmedLen as trimmed-length+1; 0 means unknown.
-	// Atomic because snapshot-shared sets are read — and therefore
-	// lazily trimmed — from concurrent evaluation contexts; mutators
-	// (which require exclusive access anyway) reset it to unknown.
-	tlen atomic.Int32
 }
 
 // New returns a set with capacity n bits, all clear.
@@ -41,38 +33,25 @@ func New(n int) *Set {
 func (s *Set) Len() int { return s.n }
 
 // TrimmedLen returns the number of backing words up to and including
-// the last nonzero word — the only words a streaming kernel needs to
-// visit. The scan is lazy and cached so the batch kernels hoist it into
-// setup once instead of re-scanning trailing zero words on every pass;
-// every mutator invalidates the cache. Safe for concurrent readers of
-// an unchanging set (the shared-snapshot case).
+// the last nonzero word — the words a segment store persists.
 func (s *Set) TrimmedLen() int {
-	if v := s.tlen.Load(); v > 0 {
-		return int(v - 1)
-	}
 	t := len(s.words)
 	for t > 0 && s.words[t-1] == 0 {
 		t--
 	}
-	s.tlen.Store(int32(t + 1))
 	return t
 }
-
-// dirty marks the cached trimmed length unknown; every mutator calls it.
-func (s *Set) dirty() { s.tlen.Store(0) }
 
 // Add sets bit i.
 func (s *Set) Add(i int) {
 	s.check(i)
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
-	s.dirty()
 }
 
 // Remove clears bit i.
 func (s *Set) Remove(i int) {
 	s.check(i)
 	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
-	s.dirty()
 }
 
 // Contains reports whether bit i is set.
@@ -101,7 +80,6 @@ func (s *Set) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-	s.dirty()
 }
 
 // Fill sets all bits in [0, Len).
@@ -110,7 +88,6 @@ func (s *Set) Fill() {
 		s.words[i] = ^uint64(0)
 	}
 	s.trim()
-	s.dirty()
 }
 
 // trim zeroes the bits above capacity in the last word.
@@ -124,7 +101,6 @@ func (s *Set) trim() {
 func (s *Set) Clone() *Set {
 	c := New(s.n)
 	copy(c.words, s.words)
-	c.tlen.Store(s.tlen.Load()) // identical contents, identical trim
 	return c
 }
 
@@ -132,7 +108,6 @@ func (s *Set) Clone() *Set {
 func (s *Set) Copy(other *Set) {
 	s.sameCap(other)
 	copy(s.words, other.words)
-	s.dirty()
 }
 
 func (s *Set) sameCap(other *Set) {
@@ -147,7 +122,6 @@ func (s *Set) UnionWith(other *Set) {
 	for i, w := range other.words {
 		s.words[i] |= w
 	}
-	s.dirty()
 }
 
 // IntersectWith sets s = s ∩ other.
@@ -156,7 +130,6 @@ func (s *Set) IntersectWith(other *Set) {
 	for i, w := range other.words {
 		s.words[i] &= w
 	}
-	s.dirty()
 }
 
 // DifferenceWith sets s = s \ other.
@@ -165,7 +138,6 @@ func (s *Set) DifferenceWith(other *Set) {
 	for i, w := range other.words {
 		s.words[i] &^= w
 	}
-	s.dirty()
 }
 
 // Union returns a new set s ∪ other.
@@ -412,7 +384,6 @@ func IntersectInto(dst *Set, sets []*Set) {
 		dst.Fill()
 		return
 	}
-	defer dst.dirty()
 	a := kernelWords(sets, dst)
 	dw := dst.words
 	switch len(sets) {
@@ -447,7 +418,6 @@ func UnionInto(dst *Set, sets []*Set) {
 		dst.Clear()
 		return
 	}
-	defer dst.dirty()
 	a := kernelWords(sets, dst)
 	dw := dst.words
 	switch len(sets) {

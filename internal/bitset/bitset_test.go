@@ -164,3 +164,63 @@ func TestSetAlgebraProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTrimmedLen(t *testing.T) {
+	s := New(300) // 5 words
+	if got := s.TrimmedLen(); got != 0 {
+		t.Errorf("empty TrimmedLen = %d, want 0", got)
+	}
+	s.Add(70) // word 1
+	if got := s.TrimmedLen(); got != 2 {
+		t.Errorf("TrimmedLen after Add(70) = %d, want 2", got)
+	}
+	// Cached value must be invalidated by growth...
+	s.Add(256) // word 4
+	if got := s.TrimmedLen(); got != 5 {
+		t.Errorf("TrimmedLen after Add(256) = %d, want 5", got)
+	}
+	// ...and by shrinkage.
+	s.Remove(256)
+	if got := s.TrimmedLen(); got != 2 {
+		t.Errorf("TrimmedLen after Remove(256) = %d, want 2", got)
+	}
+	s.Clear()
+	if got := s.TrimmedLen(); got != 0 {
+		t.Errorf("TrimmedLen after Clear = %d, want 0", got)
+	}
+	s.Fill()
+	if got := s.TrimmedLen(); got != 5 {
+		t.Errorf("TrimmedLen after Fill = %d, want 5", got)
+	}
+	c := s.Clone()
+	if got := c.TrimmedLen(); got != 5 {
+		t.Errorf("Clone TrimmedLen = %d, want 5", got)
+	}
+	other := New(300)
+	other.Add(3)
+	c.IntersectWith(other)
+	if got := c.TrimmedLen(); got != 1 {
+		t.Errorf("TrimmedLen after IntersectWith = %d, want 1", got)
+	}
+	c.UnionWith(s)
+	if got := c.TrimmedLen(); got != 5 {
+		t.Errorf("TrimmedLen after UnionWith = %d, want 5", got)
+	}
+	c.DifferenceWith(s)
+	if got := c.TrimmedLen(); got != 0 {
+		t.Errorf("TrimmedLen after DifferenceWith = %d, want 0", got)
+	}
+	c.Copy(s)
+	if got := c.TrimmedLen(); got != 5 {
+		t.Errorf("TrimmedLen after Copy = %d, want 5", got)
+	}
+	// The Into kernels mutate dst and must invalidate too.
+	IntersectInto(c, []*Set{New(300)})
+	if got := c.TrimmedLen(); got != 0 {
+		t.Errorf("TrimmedLen after IntersectInto = %d, want 0", got)
+	}
+	UnionInto(c, []*Set{s})
+	if got := c.TrimmedLen(); got != 5 {
+		t.Errorf("TrimmedLen after UnionInto = %d, want 5", got)
+	}
+}

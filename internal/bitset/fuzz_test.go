@@ -49,74 +49,3 @@ func FuzzKernels(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBatchKernels asserts the tiled frontier kernels agree with the
-// scalar per-plan loop on arbitrary frontiers: a CSR batch of plans
-// with fuzz-chosen arities, plus the refine (shared-prefix) form built
-// from the same operands.
-func FuzzBatchKernels(f *testing.F) {
-	f.Add([]byte{0xff, 0x00, 0xaa, 0x55, 1, 2, 3}, uint8(4), uint8(2), uint16(200))
-	f.Add([]byte{}, uint8(1), uint8(0), uint16(1))
-	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, uint8(7), uint8(3), uint16(5000))
-	f.Fuzz(func(t *testing.T, data []byte, nplans8, plen8 uint8, nbits uint16) {
-		nplans := 1 + int(nplans8%19)
-		plen := int(plen8 % 4)
-		n := 1 + int(nbits%9000) // up to > 2 tiles
-		fill := func(offset int) *Set {
-			s := New(n)
-			for i := 0; i < n; i++ {
-				bi := offset + i
-				if len(data) == 0 {
-					break
-				}
-				if data[bi%len(data)]&(1<<uint(bi%8)) != 0 {
-					s.Add(i)
-				}
-			}
-			return s
-		}
-		var sets []*Set
-		offs := []int32{0}
-		for g := 0; g < nplans; g++ {
-			arity := 1 + (g+int(nplans8))%4
-			for a := 0; a < arity; a++ {
-				sets = append(sets, fill(g*131+a*n))
-			}
-			offs = append(offs, int32(len(sets)))
-		}
-		excl := fill(len(sets) * 17)
-		for _, e := range []*Set{nil, excl} {
-			counts := make([]int32, nplans)
-			bounds := make([]int32, nplans)
-			BatchIntersectCountAndNot(sets, offs, e, bounds, counts)
-			for g := 0; g < nplans; g++ {
-				want := int32(IntersectCountAndNot(sets[offs[g]:offs[g+1]], e))
-				if counts[g] != want {
-					t.Fatalf("csr plan %d (n=%d, excl=%v): got %d, want %d",
-						g, n, e != nil, counts[g], want)
-				}
-			}
-		}
-		// Refine form: prefix from the first operands, one var per plan.
-		prefix := make([]*Set, plen)
-		for i := range prefix {
-			prefix[i] = fill(i*379 + 7)
-		}
-		vars := make([]*Set, nplans)
-		for g := 0; g < nplans; g++ {
-			vars[g] = sets[offs[g]] // first operand of each plan
-		}
-		counts := make([]int32, nplans)
-		bounds := make([]int32, nplans)
-		scratch := make([]uint64, TileWords)
-		BatchRefineCountAndNot(prefix, vars, excl, scratch, bounds, counts)
-		ops := make([]*Set, 0, plen+1)
-		for g, v := range vars {
-			ops = append(append(ops[:0], prefix...), v)
-			if want := int32(IntersectCountAndNot(ops, excl)); counts[g] != want {
-				t.Fatalf("refine var %d (n=%d, plen=%d): got %d, want %d",
-					g, n, plen, counts[g], want)
-			}
-		}
-	})
-}

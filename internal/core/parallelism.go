@@ -71,10 +71,8 @@ func (p *parcfg) evaluator(ctx measure.Context, algo string) *parallel.Evaluator
 }
 
 // evalAll evaluates every plan through the evaluator when one is
-// configured, via measure.EvaluateAll on ctx otherwise — either way a
-// batch-capable context (coverage with its snapshot) scores the whole
-// slice per kernel pass instead of plan by plan. Results are in input
-// order.
+// configured, via measure.EvaluateAll on ctx otherwise. Results are in
+// input order.
 func evalAll(ctx measure.Context, ev *parallel.Evaluator, plans []*planspace.Plan) []interval.Interval {
 	out := make([]interval.Interval, len(plans))
 	if ev == nil {

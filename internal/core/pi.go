@@ -140,7 +140,7 @@ func (pi *PI) Next() (*planspace.Plan, float64, bool) {
 	// Recompute only plans whose utility may have changed: one bulk
 	// independence sweep against the fixed delta (memoized overlap rows
 	// on bulk-capable contexts), then the dependent survivors score as
-	// one frontier so a batch-capable measure takes the tiled kernels.
+	// one frontier.
 	pi.scratch(len(pi.plans))
 	if ev == nil {
 		measure.IndependentAll(pi.ctx, pi.plans, d, pi.alive, pi.indep)

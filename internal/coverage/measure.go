@@ -2,7 +2,6 @@ package coverage
 
 import (
 	"qporder/internal/abstraction"
-	"qporder/internal/arena"
 	"qporder/internal/bitset"
 	"qporder/internal/interval"
 	"qporder/internal/lav"
@@ -18,18 +17,15 @@ import (
 type Measure struct {
 	model *Model
 	snap  *snapshot // shared answer-set memo; nil disables caching
-	batch bool      // frontier-batched EvaluateBatch path (cached mode)
 }
 
 // NewMeasure returns the coverage measure over the given model. Contexts
 // share a measure-owned snapshot of answer sets (see snapshot.go): every
 // answer set is a pure function of the immutable model, so one context's
 // work — or one iDrips Next's, or one parallel worker's — is every other
-// context's cache hit. Contexts also implement measure.BatchEvaluator
-// (see batch.go), scoring whole refinement frontiers through the tiled
-// prefix-sharing kernels with arena-backed scratch.
+// context's cache hit.
 func NewMeasure(m *Model) *Measure {
-	return &Measure{model: m, snap: newSnapshot(defaultSnapshotCap), batch: true}
+	return &Measure{model: m, snap: newSnapshot(defaultSnapshotCap)}
 }
 
 // NewMeasureUncached returns the coverage measure with the shared
@@ -38,13 +34,6 @@ func NewMeasure(m *Model) *Measure {
 // oracle for the cached implementation — both must produce bit-identical
 // intervals and identical work counters — and as an ablation baseline.
 func NewMeasureUncached(m *Model) *Measure { return &Measure{model: m} }
-
-// SetBatching toggles the frontier-batched evaluation path (on by
-// default for cached measures; uncached measures always run scalar).
-// The scalar path is the differential oracle for the batched one: the
-// parity tests order identical workloads under both settings and demand
-// byte-identical output. Not safe to flip while contexts are in flight.
-func (ms *Measure) SetBatching(on bool) { ms.batch = on }
 
 // Name implements measure.Measure.
 func (ms *Measure) Name() string { return "coverage" }
@@ -74,7 +63,6 @@ func (ms *Measure) NewContext() measure.Context {
 		union:   make(map[*abstraction.Node]*bitset.Set),
 		scratch: bitset.New(ms.model.universe),
 		snap:    ms.snap,
-		arena:   arena.New(),
 	}
 	if c.snap != nil {
 		c.planLocal = make(map[string]*bitset.Set)
@@ -111,15 +99,6 @@ type context struct {
 	scratch   *bitset.Set
 	gather    []*bitset.Set // reusable kernel operand buffer
 
-	// Batched-evaluation state (see batch.go): a per-context bump arena
-	// for word/span scratch, reusable operand buffers for the CSR and
-	// prefix-sharing kernel forms, and batch telemetry. The arena is
-	// reset per frontier and, via ResetScratch, between requests.
-	arena   *arena.Arena
-	bops    []*bitset.Set // flat CSR operand buffer
-	bprefix []*bitset.Set // shared-prefix operands of the current run
-	bvars   []*bitset.Set // per-sibling varying operand of the current run
-
 	// Bulk-independence state (see indep.go): for the fixed delta of a
 	// recompute sweep, per-position overlap rows materialize
 	// Overlap(v, dᵢ) by source ID so each of the sweep's many checks is
@@ -140,14 +119,9 @@ type context struct {
 	snapHits    int
 	snapMisses  int
 	kernelCalls int
-	batchCalls  int // EvaluateBatch invocations that took the tiled path
-	batchPlans  int // plans scored through the tiled path
 	cSnapHits   *obs.Counter
 	cSnapMisses *obs.Counter
 	cKernel     *obs.Counter
-	cBatchCalls *obs.Counter
-	cBatchPlans *obs.Counter
-	gArena      *obs.Gauge
 }
 
 // Measure implements measure.Context.
@@ -155,22 +129,16 @@ func (c *context) Measure() measure.Measure { return c.ms }
 
 // Bind implements measure.Context, adding the snapshot counters
 // "<prefix>.snapshot_hits", "<prefix>.snapshot_misses", and
-// "<prefix>.kernel_calls", the batch counters "<prefix>.batch_calls"
-// and "<prefix>.batch_plans", and the "<prefix>.arena_bytes" gauge to
-// the base set.
+// "<prefix>.kernel_calls" to the base set.
 func (c *context) Bind(reg *obs.Registry, prefix string) {
 	c.Base.Bind(reg, prefix)
 	if reg == nil {
 		c.cSnapHits, c.cSnapMisses, c.cKernel = nil, nil, nil
-		c.cBatchCalls, c.cBatchPlans, c.gArena = nil, nil, nil
 		return
 	}
 	c.cSnapHits = reg.Counter(prefix + ".snapshot_hits")
 	c.cSnapMisses = reg.Counter(prefix + ".snapshot_misses")
 	c.cKernel = reg.Counter(prefix + ".kernel_calls")
-	c.cBatchCalls = reg.Counter(prefix + ".batch_calls")
-	c.cBatchPlans = reg.Counter(prefix + ".batch_plans")
-	c.gArena = reg.Gauge(prefix + ".arena_bytes")
 }
 
 // SnapshotStats returns the context's snapshot hit/miss counts and the
@@ -179,31 +147,11 @@ func (c *context) SnapshotStats() (hits, misses, kernels int) {
 	return c.snapHits, c.snapMisses, c.kernelCalls
 }
 
-// BatchStats returns the number of frontiers scored through the tiled
-// batch path and the total plans they contained.
-func (c *context) BatchStats() (calls, plans int) {
-	return c.batchCalls, c.batchPlans
-}
-
-// ResetScratch implements measure.ScratchResetter: it releases the
-// arena's per-frontier scratch back to the slabs (capacity retained) so
-// a long-lived serving context holds only its steady-state footprint
-// between requests.
-func (c *context) ResetScratch() { c.arena.Reset() }
-
 func (c *context) countHit()  { c.snapHits++; c.cSnapHits.Inc() }
 func (c *context) countMiss() { c.snapMisses++; c.cSnapMisses.Inc() }
 func (c *context) countKernel() {
 	c.kernelCalls++
 	c.cKernel.Inc()
-}
-
-func (c *context) countBatch(plans int) {
-	c.batchCalls++
-	c.batchPlans += plans
-	c.cBatchCalls.Inc()
-	c.cBatchPlans.Add(int64(plans))
-	c.gArena.Set(float64(c.arena.Bytes()))
 }
 
 // ForkContext implements measure.Forker: the covered set and executed

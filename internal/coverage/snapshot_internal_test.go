@@ -6,7 +6,9 @@ import (
 
 	"qporder/internal/abstraction"
 	"qporder/internal/bitset"
+	"qporder/internal/interval"
 	"qporder/internal/lav"
+	"qporder/internal/measure"
 	"qporder/internal/planspace"
 )
 
@@ -111,6 +113,32 @@ func TestOverflowEvaluateZeroAllocs(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Errorf("overflow Evaluate allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestEvaluateAllZeroAllocs is the allocation-regression gate for
+// frontier scoring: after one warm-up pass (snapshot fronts filled,
+// gather buffer sized), scoring a mixed frontier — the root, its
+// refinements and every concrete plan — through measure.EvaluateAll
+// must not touch the heap at all.
+func TestEvaluateAllZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	model, buckets := testModel(43, 4096, 3, 4)
+	space := planspace.NewSpace(buckets)
+	ctx := NewMeasure(model).NewContext()
+	root := space.Root(abstraction.ByID())
+	all := space.Enumerate()
+	frontier := append([]*planspace.Plan{root}, root.Refine()...)
+	frontier = append(frontier, all...)
+	out := make([]interval.Interval, len(frontier))
+	measure.EvaluateAll(ctx, frontier, out) // warm
+	ctx.Observe(all[0])
+	if avg := testing.AllocsPerRun(100, func() {
+		measure.EvaluateAll(ctx, frontier, out)
+	}); avg != 0 {
+		t.Errorf("EvaluateAll allocates %.2f allocs per frontier, want 0", avg)
 	}
 }
 

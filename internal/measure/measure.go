@@ -106,15 +106,6 @@ func (b *Base) CountEval() {
 	b.cEvals.Inc()
 }
 
-// CountEvals bulk-increments the evaluation counter: batched evaluation
-// records one Evaluate per frontier plan in a single call, keeping
-// Evals() — and the bound obs counter — exactly what a scalar loop
-// would have recorded.
-func (b *Base) CountEvals(n int) {
-	b.evals += n
-	b.cEvals.Add(int64(n))
-}
-
 // Evals returns the evaluation count.
 func (b *Base) Evals() int { return b.evals }
 
@@ -191,31 +182,9 @@ type CountAdder interface {
 	AddCounts(evals, checks, hits int)
 }
 
-// BatchEvaluator is the optional frontier-evaluation interface: a
-// context that can score a whole refinement frontier in one pass (tiled
-// kernels, shared intersection prefixes, arena-backed scratch)
-// implements it. EvaluateBatch must fill out[i] with exactly what
-// Evaluate(plans[i]) would return against the same executed prefix, for
-// every i, and advance the work counters identically (one evaluation
-// per plan) — the batched and scalar paths are interchangeable bit for
-// bit, which is what lets EvaluateAll pick freely between them.
-type BatchEvaluator interface {
-	// EvaluateBatch scores plans[i] into out[i]; len(out) >= len(plans).
-	EvaluateBatch(plans []*planspace.Plan, out []interval.Interval)
-}
-
-// EvaluateAll scores plans[i] into out[i] for every i, through the
-// context's batched path when it implements BatchEvaluator and a scalar
-// Evaluate loop otherwise. Results, counters, and determinism are
-// identical either way.
+// EvaluateAll scores plans[i] into out[i] for every i, one Evaluate
+// call per plan; len(out) >= len(plans).
 func EvaluateAll(ctx Context, plans []*planspace.Plan, out []interval.Interval) {
-	if len(plans) == 0 {
-		return
-	}
-	if be, ok := ctx.(BatchEvaluator); ok {
-		be.EvaluateBatch(plans, out[:len(plans)])
-		return
-	}
 	for i, p := range plans {
 		out[i] = ctx.Evaluate(p)
 	}
@@ -249,14 +218,6 @@ func IndependentAll(ctx Context, plans []*planspace.Plan, d *planspace.Plan, ali
 			indep[i] = ctx.Independent(p, d)
 		}
 	}
-}
-
-// ScratchResetter is the optional hook for contexts that own reusable
-// scratch memory (a per-request arena): run owners call it when a
-// session finishes so a parked context does not pin its high-water
-// scratch between requests. It must not affect evaluation results.
-type ScratchResetter interface {
-	ResetScratch()
 }
 
 // Forker is the optional fast-fork interface. A context that can

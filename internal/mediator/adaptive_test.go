@@ -103,9 +103,11 @@ func TestAdaptiveOffNeverReorders(t *testing.T) {
 	}
 }
 
-func TestAdaptiveWithPrefetch(t *testing.T) {
+// TestAdaptiveWithPipelined: adaptive re-ordering over the pipelined
+// supplier must still execute every plan exactly once.
+func TestAdaptiveWithPipelined(t *testing.T) {
 	cfg, eng := mispricedFixture(t)
-	cfg.Prefetch = true
+	cfg.Parallelism = 2
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@
 // best-first, and stop "as soon as the user has found a satisfactory
 // answer, or when allotted resource limits have been reached"
 // (Section 1). Ordering can be overlapped with execution — the rest of
-// the plans are found while execution has begun — via the Prefetch
+// the plans are found while execution has begun — via the Parallelism
 // option.
 package mediator
 
@@ -77,17 +77,14 @@ type Config struct {
 	// (default 50000).
 	Physical bool
 	PhysN    float64
-	// Prefetch overlaps finding the next sound plan with executing the
-	// current one.
-	Prefetch bool
 	// Parallelism > 1 spreads the orderer's internal work — utility
 	// evaluation and dominance testing — across that many workers
 	// (core.SetParallelism; deterministic, so the plan sequence is
 	// byte-identical to the sequential run) and switches Run to the
 	// pipelined mode: a producer goroutine orders and soundness-checks
 	// plans into a bounded queue while the consumer executes, so plan i
-	// executes while plan i+1 is ordered. Subsumes Prefetch. 0 or 1
-	// keeps today's sequential behavior.
+	// executes while plan i+1 is ordered. 0 or 1 keeps the sequential
+	// behavior.
 	Parallelism int
 	// PipelineDepth bounds the pipelined mode's plan queue (default 2).
 	// Deeper queues let ordering run further ahead of execution; plans
@@ -461,6 +458,9 @@ func (s *System) reorder() error {
 	})
 	m := s.cfg.Measure(entries)
 	spaces := adaptive.RemainingSpaces(s.src.spaces(), s.executed)
+	// A pipelined drain may have latched exhaustion from the old orderer
+	// running ahead; the rebuilt one re-derives every unexecuted plan.
+	s.exhausted = len(spaces) == 0
 	if len(spaces) == 0 {
 		s.orderer = exhaustedOrderer{m.NewContext()}
 		s.next, s.drain, s.stash = nil, nil, nil
@@ -547,9 +547,10 @@ func (s *System) nextSound() sound {
 }
 
 // Run executes the ordered sound plans against the engine until the
-// budget stops it. With Prefetch, the next plan is ordered concurrently
-// with the current plan's execution. With Adaptive, drifted statistics
-// trigger re-ordering of the remaining plans between executions.
+// budget stops it. With Parallelism > 1, the next plans are ordered
+// concurrently with the current plan's execution. With Adaptive,
+// drifted statistics trigger re-ordering of the remaining plans between
+// executions.
 func (s *System) Run(engine *execsim.Engine, budget Budget) (*Result, error) {
 	return s.RunContext(context.Background(), engine, budget)
 }
@@ -577,16 +578,6 @@ func (s *System) RunContext(ctx context.Context, engine *execsim.Engine, budget 
 	if s.cfg.Calib != nil {
 		engine.SetCalibration(s.cfg.Calib)
 	}
-	// Release per-request evaluation scratch (the batch evaluator's
-	// arena) once the run — including the pipelined producer's drain,
-	// which may still evaluate plans — is over. Registered before the
-	// drain defer so it runs after it; slab capacity is retained, so the
-	// next request on this system reuses the same memory.
-	defer func() {
-		if r, ok := s.orderer.Context().(measure.ScratchResetter); ok {
-			r.ResetScratch()
-		}
-	}()
 	defer func() {
 		if s.drain != nil {
 			s.drain()
@@ -707,40 +698,12 @@ func (s *System) RunContext(ctx context.Context, engine *execsim.Engine, budget 
 // for any in-flight ordering work (so the orderer is quiescent before the
 // caller reads its instrumentation). With Parallelism > 1 the supplier is
 // the pipelined producer, which observes the Run context; the sequential
-// and Prefetch suppliers ignore it (cancellation is checked in the Run
-// loop, and their closures outlive a single Run).
+// supplier ignores it (cancellation is checked in the Run loop).
 func (s *System) nextSoundFunc(ctx context.Context) (next func() sound, drain func()) {
 	if s.cfg.Parallelism > 1 {
 		return s.pipelined(ctx)
 	}
-	if !s.cfg.Prefetch {
-		return s.nextSound, func() {}
-	}
-	ch := make(chan sound, 1)
-	ch <- s.nextSound() // prime
-	inFlight := false
-	next = func() sound {
-		cur := <-ch
-		inFlight = true
-		go func() {
-			if cur.ok {
-				ch <- s.nextSound()
-				return
-			}
-			ch <- sound{} // stay exhausted
-		}()
-		return cur
-	}
-	drain = func() {
-		if inFlight {
-			// Wait for the outstanding prefetch and park its result back
-			// for a potential later Run call on the same System.
-			v := <-ch
-			ch <- v
-			inFlight = false
-		}
-	}
-	return next, drain
+	return s.nextSound, func() {}
 }
 
 // pipelined builds the Parallelism-mode plan supplier: a producer

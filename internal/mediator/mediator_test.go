@@ -137,32 +137,6 @@ func TestRunContinuesAcrossBudgets(t *testing.T) {
 	}
 }
 
-func TestPrefetchMatchesSynchronous(t *testing.T) {
-	run := func(prefetch bool) *Result {
-		cfg, eng, _ := fixture(t)
-		cfg.Prefetch = prefetch
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(eng, Budget{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(false), run(true)
-	if len(a.Executed) != len(b.Executed) || a.Answers.Len() != b.Answers.Len() {
-		t.Fatalf("prefetch changed results: %d/%d vs %d/%d plans/answers",
-			len(a.Executed), a.Answers.Len(), len(b.Executed), b.Answers.Len())
-	}
-	for i := range a.Executed {
-		if a.Executed[i].String() != b.Executed[i].String() {
-			t.Errorf("plan %d differs: %s vs %s", i, a.Executed[i], b.Executed[i])
-		}
-	}
-}
-
 func TestAutoAlgorithmSelection(t *testing.T) {
 	cfg, _, _ := fixture(t)
 

@@ -215,28 +215,3 @@ func sequentialPlans(t *testing.T) []string {
 	}
 	return out
 }
-
-// TestPipelinedPrefetchInteraction: Parallelism subsumes Prefetch; both
-// set must behave like Parallelism alone.
-func TestPipelinedPrefetchInteraction(t *testing.T) {
-	cfg, mkEng := wideFixture(t)
-	cfg.Parallelism = 4
-	cfg.Prefetch = true
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run(mkEng(), Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sequentialPlans(t)
-	if len(res.Executed) != len(want) {
-		t.Fatalf("executed %d plans, want %d", len(res.Executed), len(want))
-	}
-	for i, pq := range res.Executed {
-		if pq.String() != want[i] {
-			t.Errorf("plan %d is %s, want %s", i, pq, want[i])
-		}
-	}
-}

@@ -84,10 +84,9 @@ func (e *Evaluator) Eval(plans []*planspace.Plan) []interval.Interval {
 }
 
 // EvalInto evaluates every plan into out[i], routing each contiguous
-// chunk through measure.EvaluateAll so batch-capable contexts score
-// whole frontiers per kernel pass. Small batches run inline on the main
-// context; larger ones split into one contiguous range per worker, each
-// fork batch-evaluating its range. Per-plan results depend only on
+// chunk through measure.EvaluateAll. Small batches run inline on the
+// main context; larger ones split into one contiguous range per worker,
+// each fork evaluating its range. Per-plan results depend only on
 // (measure, executed prefix, plan) — never on chunk grouping — so the
 // output is identical at every parallelism level, and harvest() keeps
 // the counters identical too.

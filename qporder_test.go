@@ -170,7 +170,7 @@ func TestFacadeMediatorAndOptimizer(t *testing.T) {
 		Physical:     true,
 		PhysN:        5000,
 		Adaptive:     true,
-		Prefetch:     true,
+		Parallelism:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
