@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 30s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race bench bench-json bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke perfbench-test perfbench-smoke clean
+.PHONY: all build vet test race bench bench-json bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke perfbench-test perfbench-smoke perfbench-pair clean
 
 all: build vet test
 
@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/schema
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/domfile
 	$(GO) test -fuzz FuzzKernels -fuzztime $(FUZZTIME) ./internal/bitset
+	$(GO) test -fuzz FuzzPlanKeyOrder -fuzztime $(FUZZTIME) ./internal/planspace
 	$(GO) test -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/store
 
 # serve-smoke boots the qpserved daemon (race-enabled build) on a random
@@ -129,6 +130,15 @@ perfbench-smoke:
 	for w in order mediate serve; do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 || exit 1; \
 	done
+
+# perfbench-pair measures a change against a base revision on this
+# machine: PAIRS alternating perfbench runs of BASE and the working tree
+# on WORKLOAD, one seed per pair, then per-metric medians and
+# change/base ratios. RUN_SECONDS and SEED0 override the run length (30)
+# and the first seed (101). See scripts/perfbench_pair.sh.
+perfbench-pair:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(PAIRS)" || { echo "usage: make perfbench-pair BASE=<ref> WORKLOAD=order|mediate|serve PAIRS=<n>"; exit 2; }
+	bash scripts/perfbench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 clean:
 	rm -rf internal/schema/testdata internal/domfile/testdata

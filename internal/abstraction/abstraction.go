@@ -10,7 +10,7 @@ package abstraction
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -52,8 +52,9 @@ func (n *Node) Min() lav.SourceID { return n.Sources[0] }
 // Key returns a canonical content key for the node's member set: "7" for
 // the leaf V7, "1,5,9" for a group over sources {1,5,9}. Two nodes with
 // the same members share a key even when they are distinct objects —
-// iDrips re-abstracts its spaces on every Next, so shared caches keyed by
-// pointer identity would never hit across Nexts. Everything memoized
+// iDrips abstracts every subspace a split creates afresh, and every
+// orderer builds hierarchies of its own, so shared caches keyed by
+// pointer identity would miss across them. Everything memoized
 // under a key (answer sets, source statistics) is a function of the
 // member set alone, so the bucket index is deliberately excluded. The key
 // is built once and cached; concurrent callers may race to build it, but
@@ -63,6 +64,7 @@ func (n *Node) Key() string {
 		return *k
 	}
 	var b strings.Builder
+	b.Grow(4 * len(n.Sources)) // room for IDs below 1000
 	for i, s := range n.Sources {
 		if i > 0 {
 			b.WriteByte(',')
@@ -88,7 +90,7 @@ func (n *Node) String() string {
 
 // Heuristic orders a bucket's sources so that similar sources become
 // adjacent; the hierarchy groups adjacent runs. Implementations must
-// return a permutation of the input (the builder verifies length only).
+// return a permutation of the input (Build verifies it).
 type Heuristic interface {
 	// Name identifies the heuristic in experiment output.
 	Name() string
@@ -104,15 +106,18 @@ type keyHeuristic struct {
 
 func (h keyHeuristic) Name() string { return h.name }
 
+// Order sorts stably by key, then ID. The stable sort reads only
+// whether cmp is negative, so cmp is the less function itself: keys
+// compare with <, and a NaN key, neither below nor above any other,
+// lands where sort.SliceStable with the same less function puts it
+// (cmp.Compare would move NaNs first).
 func (h keyHeuristic) Order(bucket int, sources []lav.SourceID) []lav.SourceID {
-	out := make([]lav.SourceID, len(sources))
-	copy(out, sources)
-	sort.SliceStable(out, func(i, j int) bool {
-		ki, kj := h.key(bucket, out[i]), h.key(bucket, out[j])
-		if ki != kj {
-			return ki < kj
+	out := append([]lav.SourceID(nil), sources...)
+	slices.SortStableFunc(out, func(a, b lav.SourceID) int {
+		if ka, kb := h.key(bucket, a), h.key(bucket, b); ka < kb || ka == kb && a < b {
+			return -1
 		}
-		return out[i] < out[j] // deterministic tie-break
+		return 0
 	})
 	return out
 }
@@ -149,9 +154,12 @@ func ByID() Heuristic {
 // Build constructs one hierarchy root per bucket. Each bucket must be
 // non-empty. The heuristic orders each bucket; the hierarchy is a balanced
 // binary tree over that order, so refining a node splits its members into
-// two similar halves.
+// two similar halves. Build panics unless each root's members equal the
+// bucket's: a heuristic that drops a source, or repeats one in its
+// place, would otherwise abstract a different plan space.
 func Build(buckets [][]lav.SourceID, h Heuristic) []*Node {
 	roots := make([]*Node, len(buckets))
+	var sorted []lav.SourceID
 	for b, srcs := range buckets {
 		if len(srcs) == 0 {
 			panic(fmt.Sprintf("abstraction: empty bucket %d", b))
@@ -162,22 +170,85 @@ func Build(buckets [][]lav.SourceID, h Heuristic) []*Node {
 				h.Name(), len(ordered), len(srcs)))
 		}
 		roots[b] = build(b, ordered)
+		want := srcs
+		if !slices.IsSorted(srcs) {
+			sorted = append(sorted[:0], srcs...)
+			slices.Sort(sorted)
+			want = sorted
+		}
+		if !slices.Equal(roots[b].Sources, want) {
+			panic(fmt.Sprintf("abstraction: heuristic %s returned %v for bucket %d %v, not a permutation",
+				h.Name(), ordered, b, srcs))
+		}
 	}
 	return roots
 }
 
-// build recursively constructs a balanced tree over ordered sources.
+// build constructs a balanced tree over ordered sources. The tree's
+// nodes, member lists and child lists are carved from three slabs, one
+// allocation each per bucket rather than several per node; a node's
+// sorted members are the merge of its children's.
 func build(bucket int, ordered []lav.SourceID) *Node {
-	if len(ordered) == 1 {
-		return &Node{Bucket: bucket, Sources: []lav.SourceID{ordered[0]}}
+	n := len(ordered)
+	b := treeBuilder{
+		bucket: bucket,
+		nodes:  make([]Node, 2*n-1),
+		ids:    make([]lav.SourceID, memberSlots(n)),
+		kids:   make([]*Node, 2*(n-1)),
 	}
-	mid := len(ordered) / 2
-	left := build(bucket, ordered[:mid])
-	right := build(bucket, ordered[mid:])
-	members := make([]lav.SourceID, len(ordered))
-	copy(members, ordered)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	return &Node{Bucket: bucket, Sources: members, Children: []*Node{left, right}}
+	return b.node(ordered)
+}
+
+// memberSlots returns the total length of the member lists of a tree
+// over n sources: n at the root plus its two subtrees'.
+func memberSlots(n int) int {
+	if n == 1 {
+		return 1
+	}
+	return n + memberSlots(n/2) + memberSlots(n-n/2)
+}
+
+// treeBuilder hands out the next unused slot of each slab.
+type treeBuilder struct {
+	bucket int
+	nodes  []Node
+	ids    []lav.SourceID
+	kids   []*Node
+}
+
+func (b *treeBuilder) node(ordered []lav.SourceID) *Node {
+	nd := &b.nodes[0]
+	b.nodes = b.nodes[1:]
+	nd.Bucket = b.bucket
+	k := len(ordered)
+	nd.Sources, b.ids = b.ids[:k:k], b.ids[k:]
+	if k == 1 {
+		nd.Sources[0] = ordered[0]
+		return nd
+	}
+	mid := k / 2
+	left := b.node(ordered[:mid])
+	right := b.node(ordered[mid:])
+	merge(nd.Sources, left.Sources, right.Sources)
+	nd.Children, b.kids = b.kids[:2:2], b.kids[2:]
+	nd.Children[0], nd.Children[1] = left, right
+	return nd
+}
+
+// merge writes the sorted union, with multiplicity, of the sorted lists
+// x and y into out, which has room for exactly both.
+func merge(out, x, y []lav.SourceID) {
+	i := 0
+	for len(x) > 0 && len(y) > 0 {
+		if y[0] < x[0] {
+			out[i], y = y[0], y[1:]
+		} else {
+			out[i], x = x[0], x[1:]
+		}
+		i++
+	}
+	i += copy(out[i:], x)
+	copy(out[i:], y)
 }
 
 // BuildLeaves returns, for each bucket, leaf nodes for every source with

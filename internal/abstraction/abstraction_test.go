@@ -1,7 +1,10 @@
 package abstraction
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -193,5 +196,68 @@ func TestNodeKey(t *testing.T) {
 	// Cached: repeated calls return the same value.
 	if g.Key() != "1,5,9" {
 		t.Error("cached key changed")
+	}
+}
+
+// dupHeuristic returns the bucket with its last source replaced by a
+// repeat of the first: the right length, the wrong members.
+type dupHeuristic struct{}
+
+func (dupHeuristic) Name() string { return "dup" }
+
+func (dupHeuristic) Order(_ int, sources []lav.SourceID) []lav.SourceID {
+	out := append([]lav.SourceID(nil), sources...)
+	out[len(out)-1] = out[0]
+	return out
+}
+
+// TestBuildRejectsNonPermutation checks that Build refuses a heuristic
+// whose output has the bucket's length but not its members, for sorted
+// and unsorted buckets, and accepts the same buckets under a valid one.
+func TestBuildRejectsNonPermutation(t *testing.T) {
+	for _, bucket := range [][]lav.SourceID{{1, 4, 6, 9}, {9, 1, 6, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bucket %v: Build accepted a heuristic that repeats a source", bucket)
+				}
+			}()
+			Build([][]lav.SourceID{{2}, bucket}, dupHeuristic{})
+		}()
+		root := Build([][]lav.SourceID{bucket}, ByID())[0]
+		if got, want := root.Sources, []lav.SourceID{1, 4, 6, 9}; !slices.Equal(got, want) {
+			t.Errorf("bucket %v: root members %v, want %v", bucket, got, want)
+		}
+	}
+}
+
+// TestByKeyOrderMatchesSliceStable checks ByKey's order against a
+// sort.SliceStable reference with the same less function, on keys with
+// ties and NaNs.
+func TestByKeyOrderMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(70)
+		keys := make(map[lav.SourceID]float64, n)
+		srcs := make([]lav.SourceID, n)
+		for i := range srcs {
+			srcs[i] = lav.SourceID(rng.Intn(1000))
+			keys[srcs[i]] = float64(rng.Intn(5))
+			if rng.Intn(10) == 0 {
+				keys[srcs[i]] = math.NaN()
+			}
+		}
+		key := func(_ int, id lav.SourceID) float64 { return keys[id] }
+		want := append([]lav.SourceID(nil), srcs...)
+		sort.SliceStable(want, func(i, j int) bool {
+			ki, kj := key(0, want[i]), key(0, want[j])
+			if ki != kj {
+				return ki < kj
+			}
+			return want[i] < want[j]
+		})
+		if got := ByKey("k", key).Order(0, srcs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Order = %v, want %v", trial, got, want)
+		}
 	}
 }

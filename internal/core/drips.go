@@ -39,48 +39,54 @@ func DripsBest(ctx measure.Context, roots []*planspace.Plan) (*planspace.Plan, f
 // evaluation fans out to the evaluator's pool; results merge back in
 // candidate order, so the refinement trajectory — and hence the winner —
 // is identical to the sequential run.
+//
+// Candidates are held by value and one evaluation buffer serves every
+// round: besides the candidate slice's growth, a run allocates only the
+// plans refinement creates.
 func dripsBest(ctx measure.Context, roots []*planspace.Plan, c counters,
 	ev *parallel.Evaluator) (*planspace.Plan, float64) {
-	cands := make([]*dripsCand, 0, len(roots))
-	for i, u := range evalAll(ctx, ev, roots) {
-		cands = append(cands, &dripsCand{p: roots[i], u: u, conc: roots[i].Concrete()})
+	cands := make([]dripsCand, 0, len(roots))
+	us := evalAll(ctx, ev, roots, nil)
+	for i, u := range us {
+		cands = append(cands, dripsCand{p: roots[i], u: u, conc: roots[i].Concrete()})
 	}
 	for {
 		cands = pruneDominated(cands, c, ev)
 		// Termination: a single concrete candidate, or only concrete
 		// candidates left (ties).
 		allConcrete := true
-		for _, c := range cands {
-			if !c.conc {
+		for i := range cands {
+			if !cands[i].conc {
 				allConcrete = false
 				break
 			}
 		}
 		if allConcrete {
-			best := cands[0]
-			for _, c := range cands[1:] {
-				if betterPlan(c.u.Lo, c.p, best.u.Lo, best.p) {
-					best = c
+			best := 0
+			for i := 1; i < len(cands); i++ {
+				if betterPlan(cands[i].u.Lo, cands[i].p, cands[best].u.Lo, cands[best].p) {
+					best = i
 				}
 			}
-			return best.p, best.u.Lo
+			return cands[best].p, cands[best].u.Lo
 		}
 		// Refine the most promising abstract candidate.
 		ri := -1
-		for i, c := range cands {
-			if c.conc {
+		for i := range cands {
+			if cands[i].conc {
 				continue
 			}
-			if ri < 0 || refineBefore(c, cands[ri]) {
+			if ri < 0 || refineBefore(&cands[i], &cands[ri]) {
 				ri = i
 			}
 		}
-		target := cands[ri]
+		target := cands[ri].p
 		cands = append(cands[:ri], cands[ri+1:]...)
 		c.refine()
-		children := target.p.Refine()
-		for i, u := range evalAll(ctx, ev, children) {
-			cands = append(cands, &dripsCand{p: children[i], u: u, conc: children[i].Concrete()})
+		children := target.Refine()
+		us = evalAll(ctx, ev, children, us)
+		for i, u := range us {
+			cands = append(cands, dripsCand{p: children[i], u: u, conc: children[i].Concrete()})
 		}
 	}
 }
@@ -94,7 +100,7 @@ func refineBefore(a, b *dripsCand) bool {
 	if a.u.Width() != b.u.Width() {
 		return a.u.Width() > b.u.Width()
 	}
-	return a.p.Key() < b.p.Key()
+	return planspace.KeyLess(a.p, b.p)
 }
 
 // pruneDominated removes every candidate dominated by the candidate with
@@ -103,48 +109,70 @@ func refineBefore(a, b *dripsCand) bool {
 // Large frontiers fan the per-candidate dominance tests out to the
 // evaluator's pool; the keep-mask is index-addressed, so the surviving
 // candidates — and their order — match the sequential sweep exactly.
-func pruneDominated(cands []*dripsCand, cnt counters, ev *parallel.Evaluator) []*dripsCand {
+func pruneDominated(cands []dripsCand, cnt counters, ev *parallel.Evaluator) []dripsCand {
 	if len(cands) <= 1 {
 		return cands
 	}
-	w := cands[0]
-	for _, c := range cands[1:] {
-		if c.u.Lo > w.u.Lo || (c.u.Lo == w.u.Lo && c.p.Key() < w.p.Key()) {
-			w = c
+	// The incumbent has the maximum lower bound, ties going to the
+	// smaller key; keys are compared only among candidates tied at the
+	// maximum.
+	wi := 0
+	for i := 1; i < len(cands); i++ {
+		if cands[i].u.Lo > cands[wi].u.Lo {
+			wi = i
+		}
+	}
+	for i := wi + 1; i < len(cands); i++ {
+		if cands[i].u.Lo == cands[wi].u.Lo && planspace.KeyLess(cands[i].p, cands[wi].p) {
+			wi = i
 		}
 	}
 	if ev != nil && len(cands) >= parDomThreshold && ev.Parallel(len(cands)) {
-		w.p.Key() // pre-built once so workers only take the cached read
-		keep := make([]bool, len(cands))
-		ev.Pool().Run(len(cands), func(_, i int) {
-			c := cands[i]
-			if c == w {
-				keep[i] = true
-				return
-			}
+		return pruneParallel(cands, wi, cnt, ev)
+	}
+	// Survivors are compacted in place; a candidate is copied only once
+	// an earlier one has been dropped.
+	w := cands[wi]
+	n := 0
+	for i := range cands {
+		c := &cands[i]
+		if i != wi {
 			dominated := dominatesPlan(w.u, c.u, w.p, c.p)
 			cnt.domTest(dominated)
-			keep[i] = !dominated
-		})
-		out := cands[:0]
-		for i, c := range cands {
-			if keep[i] {
-				out = append(out, c)
+			if dominated {
+				continue
 			}
 		}
-		return out
-	}
-	out := cands[:0]
-	for _, c := range cands {
-		if c == w {
-			out = append(out, c)
-			continue
+		if n != i {
+			cands[n] = *c
 		}
+		n++
+	}
+	return cands[:n]
+}
+
+// pruneParallel is pruneDominated's sweep against cands[wi] fanned out
+// to the evaluator's pool. It is a function of its own so that only a
+// parallel sweep pays for the closure and the counters it captures.
+func pruneParallel(cands []dripsCand, wi int, cnt counters, ev *parallel.Evaluator) []dripsCand {
+	w := cands[wi]
+	keep := make([]bool, len(cands))
+	ev.Pool().Run(len(cands), func(_, i int) {
+		if i == wi {
+			keep[i] = true
+			return
+		}
+		c := &cands[i]
 		dominated := dominatesPlan(w.u, c.u, w.p, c.p)
 		cnt.domTest(dominated)
-		if !dominated {
-			out = append(out, c)
+		keep[i] = !dominated
+	})
+	n := 0
+	for i := range cands {
+		if keep[i] {
+			cands[n] = cands[i]
+			n++
 		}
 	}
-	return out
+	return cands[:n]
 }

@@ -8,15 +8,20 @@ import (
 )
 
 // IDrips is the iterated-Drips orderer of Section 5.2. Each Next call
-// re-abstracts the sources of every remaining plan space, runs Drips over
-// the abstract roots to find the current best plan (conditioned on the
-// executed prefix), and removes that plan by plan-space splitting. The
-// re-abstraction and the re-established dominance comparisons are the
-// duplicated work the paper contrasts with Streamer.
+// runs Drips over the abstract roots of every remaining plan space to
+// find the current best plan (conditioned on the executed prefix), and
+// removes that plan by plan-space splitting. The dominance comparisons
+// are re-established from the roots on every Next, as in the paper:
+// that is the duplicated work it contrasts with Streamer. The paper's
+// re-abstraction of the sources is not repeated, because a space is
+// immutable and its hierarchy is a pure function of its buckets and the
+// heuristic: each space's root is built once, when the space first takes
+// part in a Next, and dropped when Remove splits the space.
 type IDrips struct {
 	ctx    measure.Context
 	heur   abstraction.Heuristic
 	spaces []*planspace.Space
+	roots  []*planspace.Plan // roots[i] abstracts spaces[i]; later spaces have none yet
 	c      counters
 	par    parcfg
 	trace  traceState
@@ -58,12 +63,13 @@ func (d *IDrips) Next() (*planspace.Plan, float64, bool) {
 		d.c.exhausted.Inc()
 		return nil, 0, false
 	}
-	// Re-abstract every space and run Drips over all roots jointly.
-	roots := make([]*planspace.Plan, len(d.spaces))
-	for i, s := range d.spaces {
-		roots[i] = s.Root(d.heur)
+	// Abstract the spaces new since the last Next (all of them on the
+	// first call, the split's subspaces afterwards) and run Drips over
+	// all roots jointly.
+	for i := len(d.roots); i < len(d.spaces); i++ {
+		d.roots = append(d.roots, d.spaces[i].Root(d.heur))
 	}
-	best, util := dripsBest(d.ctx, roots, d.c, d.par.evaluator(d.ctx, "idrips"))
+	best, util := dripsBest(d.ctx, d.roots, d.c, d.par.evaluator(d.ctx, "idrips"))
 	d.ctx.Observe(best)
 
 	// Remove the winner from its (unique) containing space by splitting.
@@ -81,6 +87,7 @@ func (d *IDrips) Next() (*planspace.Plan, float64, bool) {
 	d.c.split()
 	subs := d.spaces[idx].Remove(srcs)
 	d.spaces = append(d.spaces[:idx], d.spaces[idx+1:]...)
+	d.roots = append(d.roots[:idx], d.roots[idx+1:]...)
 	d.spaces = append(d.spaces, subs...)
 	d.trace.emitPlan("idrips", best, util, d.ctx.Evals())
 	return best, util, true

@@ -50,26 +50,16 @@ func Take(o Orderer, k int) ([]*planspace.Plan, []float64) {
 	return plans, utils
 }
 
-// better reports whether (ua, keyA) precedes (ub, keyB) in the canonical
+// betterPlan reports whether (ua, pa) precedes (ub, pb) in the canonical
 // output order: higher utility first, then lexicographic plan key for
-// deterministic tie-breaking.
-func better(ua float64, keyA string, ub float64, keyB string) bool {
-	if ua != ub {
-		return ua > ub
-	}
-	return keyA < keyB
-}
-
-// betterPlan is better with the plan keys taken lazily: utilities are
-// compared first and the keys — whose first build materializes a string —
-// are only touched on an exact tie. Selection loops compare every
-// candidate pair, so eagerly passing p.Key() to better would build keys
-// for the whole candidate set even when no tie ever happens.
+// deterministic tie-breaking. The key order is taken through
+// planspace.KeyLess, which builds no key string, and only on an exact
+// utility tie.
 func betterPlan(ua float64, pa *planspace.Plan, ub float64, pb *planspace.Plan) bool {
 	if ua != ub {
 		return ua > ub
 	}
-	return pa.Key() < pb.Key()
+	return planspace.KeyLess(pa, pb)
 }
 
 // dominates implements the Drips dominance test with the tie-break that
@@ -88,16 +78,16 @@ func dominates(up, uq interval.Interval, keyP, keyQ string) bool {
 	return false
 }
 
-// dominatesPlan is dominates with the plan keys taken lazily, for the
-// same reason as betterPlan: the keys only matter for identical point
-// intervals, which are rare in a dominance sweep.
+// dominatesPlan is dominates over plans, with the key order taken
+// through planspace.KeyLess: the keys only matter for identical point
+// intervals, and comparing them builds no string.
 func dominatesPlan(up, uq interval.Interval, p, q *planspace.Plan) bool {
 	if up.Lo > uq.Hi {
 		return true
 	}
 	if up.Lo == uq.Hi {
 		if uq.Lo == up.Hi { // identical point intervals
-			return p.Key() < q.Key()
+			return planspace.KeyLess(p, q)
 		}
 		return true
 	}

@@ -72,9 +72,14 @@ func (p *parcfg) evaluator(ctx measure.Context, algo string) *parallel.Evaluator
 
 // evalAll evaluates every plan through the evaluator when one is
 // configured, via measure.EvaluateAll on ctx otherwise. Results are in
-// input order.
-func evalAll(ctx measure.Context, ev *parallel.Evaluator, plans []*planspace.Plan) []interval.Interval {
-	out := make([]interval.Interval, len(plans))
+// input order, written into buf's backing array when it is large
+// enough (pass nil for a fresh slice).
+func evalAll(ctx measure.Context, ev *parallel.Evaluator, plans []*planspace.Plan, buf []interval.Interval) []interval.Interval {
+	out := buf[:0]
+	if cap(out) < len(plans) {
+		out = make([]interval.Interval, len(plans))
+	}
+	out = out[:len(plans)]
 	if ev == nil {
 		measure.EvaluateAll(ctx, plans, out)
 	} else {

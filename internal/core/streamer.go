@@ -49,6 +49,8 @@ type Streamer struct {
 
 	lo planHeap // max (Lo, key): candidate incumbent w
 	hi planHeap // max (Hi, width, key): refinement candidates
+
+	us []interval.Interval // evalAll output buffer, reused across calls
 }
 
 // entry is a lazy-heap element with the utility snapshot at push time; an
@@ -78,7 +80,7 @@ func (h *planHeap) Less(i, j int) bool {
 	if a.u.Width() != b.u.Width() {
 		return a.u.Width() > b.u.Width()
 	}
-	return a.p.Key() < b.p.Key()
+	return planspace.KeyLess(a.p, b.p)
 }
 func (h *planHeap) Push(x interface{}) { h.es = append(h.es, x.(entry)) }
 func (h *planHeap) Pop() interface{} {
@@ -185,7 +187,8 @@ func (s *Streamer) rebuild() {
 			stale = append(stale, p)
 		}
 	}
-	for i, u := range evalAll(s.ctx, s.par.evaluator(s.ctx, "streamer"), stale) {
+	s.us = evalAll(s.ctx, s.par.evaluator(s.ctx, "streamer"), stale, s.us)
+	for i, u := range s.us {
 		s.g.SetUtility(stale[i], u)
 	}
 	var w *planspace.Plan
@@ -288,7 +291,8 @@ func (s *Streamer) Next() (*planspace.Plan, float64, bool) {
 			for _, ch := range children {
 				s.g.Add(ch)
 			}
-			for i, u := range evalAll(s.ctx, s.par.evaluator(s.ctx, "streamer"), children) {
+			s.us = evalAll(s.ctx, s.par.evaluator(s.ctx, "streamer"), children, s.us)
+			for i, u := range s.us {
 				s.g.SetUtility(children[i], u)
 				s.push(children[i], u)
 			}

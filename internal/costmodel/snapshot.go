@@ -58,9 +58,9 @@ func computeAgg(cat *lav.Catalog, n *abstraction.Node, prm Params, useFees bool)
 }
 
 // aggCache is the measure-owned shared snapshot of node aggregates, keyed
-// by node content (abstraction.Node.Key) so iDrips' per-Next
-// re-abstraction and parallel workers' forked contexts reuse one
-// another's work. Concurrency-safe; racing computations store identical
+// by node content (abstraction.Node.Key) so the hierarchies iDrips
+// builds for each split subspace and parallel workers' forked contexts
+// reuse one another's work. Concurrency-safe; racing computations store identical
 // values.
 type aggCache struct {
 	cat     *lav.Catalog

@@ -29,9 +29,9 @@ const defaultSnapshotCap = 1 << 15
 // allocations — so the shared maps are consulted at most once per key
 // per context.
 //
-// The snapshot belongs to the Measure, not a context: iDrips re-abstracts
-// its spaces every Next and parallel evaluators fork a context per
-// worker, and both previously rebuilt identical sets per context. Observe
+// The snapshot belongs to the Measure, not a context: iDrips abstracts
+// every subspace a split creates and parallel evaluators fork a context
+// per worker, and both previously rebuilt identical sets per context. Observe
 // never invalidates anything — only the per-context covered set changes.
 type snapshot struct {
 	capacity int64

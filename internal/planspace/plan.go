@@ -95,6 +95,79 @@ func (p *Plan) Key() string {
 	return k
 }
 
+// KeyLess reports whether a.Key() < b.Key() without building either key,
+// so deterministic tie-breaks cost no allocation. A key is the nodes'
+// renderings joined by '|': a leaf renders as its source's digits, a
+// group as "{" + Node.Key() + "}". KeyLess walks the plans position by
+// position, skips pointer-equal nodes, and compares only the first pair
+// of differing renderings: leaves through digits rendered on the stack,
+// groups through their cached Node.Key.
+//
+// Equivalence contract: KeyLess(a, b) == (a.Key() < b.Key()) for every
+// pair of plans. The one delicate case is a leaf rendering that is a
+// proper prefix of the other's ("1" against "12"): in the full key the
+// shorter one is followed by '|', which sorts after every digit, or, at
+// the last position, by the end of the key, which sorts first. A group
+// rendering ends in '}' and so is never a proper prefix of another
+// node's.
+func KeyLess(a, b *Plan) bool {
+	n := min(len(a.Nodes), len(b.Nodes))
+	for i := 0; i < n; i++ {
+		x, y := a.Nodes[i], b.Nodes[i]
+		if x == y {
+			continue
+		}
+		switch xl, yl := x.IsLeaf(), y.IsLeaf(); {
+		case xl && yl:
+			var xb, yb [20]byte
+			xs := strconv.AppendInt(xb[:0], int64(x.Sources[0]), 10)
+			ys := strconv.AppendInt(yb[:0], int64(y.Sources[0]), 10)
+			if c, decided := cmpRendering(xs, ys, follow(a, i), follow(b, i)); decided {
+				return c < 0
+			}
+		case xl != yl:
+			// A leaf starts with a digit or '-', a group with '{'.
+			return xl
+		default:
+			// Both groups: compare Key()+"}" against Key()+"}".
+			if c, decided := cmpRendering(x.Key(), y.Key(), '}', '}'); decided {
+				return c < 0
+			}
+		}
+	}
+	return len(a.Nodes) < len(b.Nodes)
+}
+
+// follow returns the byte of p's key that follows position i's
+// rendering: the '|' separator, or -1 for the end of the key.
+func follow(p *Plan, i int) int {
+	if i+1 < len(p.Nodes) {
+		return '|'
+	}
+	return -1
+}
+
+// cmpRendering compares x+tx against y+ty, where the terminators tx and
+// ty are single bytes (or -1 for the end of the key) that never occur in
+// x or y. It reports decided=false when x and y are equal: the two
+// renderings match and the comparison moves on to the next position.
+func cmpRendering[S string | []byte](x, y S, tx, ty int) (c int, decided bool) {
+	m := min(len(x), len(y))
+	for j := 0; j < m; j++ {
+		if x[j] != y[j] {
+			return int(x[j]) - int(y[j]), true
+		}
+	}
+	switch {
+	case len(x) == len(y):
+		return 0, false
+	case len(x) < len(y):
+		return tx - int(y[m]), true
+	default:
+		return int(x[m]) - ty, true
+	}
+}
+
 // Refine replaces the largest abstract node (earliest position on ties)
 // with each of its children, returning the resulting lower-level plans.
 // It panics on concrete plans.
