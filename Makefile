@@ -134,8 +134,8 @@ perfbench-smoke:
 # perfbench-pair measures a change against a base revision on this
 # machine: PAIRS alternating perfbench runs of BASE and the working tree
 # on WORKLOAD, one seed per pair, then per-metric medians and
-# change/base ratios. RUN_SECONDS and SEED0 override the run length (30)
-# and the first seed (101). See scripts/perfbench_pair.sh.
+# change/base ratios. Runs last BENCHMARK.json's run_seconds; SEED0
+# overrides the first seed (101). See scripts/perfbench_pair.sh.
 perfbench-pair:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(PAIRS)" || { echo "usage: make perfbench-pair BASE=<ref> WORKLOAD=order|mediate|serve PAIRS=<n>"; exit 2; }
 	bash scripts/perfbench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS)

@@ -9,6 +9,7 @@
 package abstraction
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -106,18 +107,23 @@ type keyHeuristic struct {
 
 func (h keyHeuristic) Name() string { return h.name }
 
-// Order sorts stably by key, then ID. The stable sort reads only
-// whether cmp is negative, so cmp is the less function itself: keys
-// compare with <, and a NaN key, neither below nor above any other,
-// lands where sort.SliceStable with the same less function puts it
-// (cmp.Compare would move NaNs first).
+// Order sorts stably by key, then ID. Keys compare with < and >, so a
+// NaN key, neither below nor above any other, compares equal to every
+// key and keeps its place as under sort.SliceStable (cmp.Compare on the
+// keys would move NaNs first).
 func (h keyHeuristic) Order(bucket int, sources []lav.SourceID) []lav.SourceID {
 	out := append([]lav.SourceID(nil), sources...)
 	slices.SortStableFunc(out, func(a, b lav.SourceID) int {
-		if ka, kb := h.key(bucket, a), h.key(bucket, b); ka < kb || ka == kb && a < b {
-			return -1
+		if ka, kb := h.key(bucket, a), h.key(bucket, b); ka != kb {
+			switch {
+			case ka < kb:
+				return -1
+			case ka > kb:
+				return 1
+			}
+			return 0
 		}
-		return 0
+		return cmp.Compare(a, b)
 	})
 	return out
 }

@@ -62,25 +62,10 @@ func betterPlan(ua float64, pa *planspace.Plan, ub float64, pb *planspace.Plan) 
 	return planspace.KeyLess(pa, pb)
 }
 
-// dominates implements the Drips dominance test with the tie-break that
-// keeps the relation acyclic: p dominates q when Lo(p) >= Hi(q), except
-// that identical point intervals defer to key order (DESIGN.md §3).
-func dominates(up, uq interval.Interval, keyP, keyQ string) bool {
-	if up.Lo > uq.Hi {
-		return true
-	}
-	if up.Lo == uq.Hi {
-		if uq.Lo == up.Hi { // identical point intervals
-			return keyP < keyQ
-		}
-		return true
-	}
-	return false
-}
-
-// dominatesPlan is dominates over plans, with the key order taken
-// through planspace.KeyLess: the keys only matter for identical point
-// intervals, and comparing them builds no string.
+// dominatesPlan implements the Drips dominance test with the tie-break
+// that keeps the relation acyclic: p dominates q when Lo(p) >= Hi(q),
+// except that identical point intervals defer to key order (DESIGN.md
+// §3), taken through planspace.KeyLess, which builds no key string.
 func dominatesPlan(up, uq interval.Interval, p, q *planspace.Plan) bool {
 	if up.Lo > uq.Hi {
 		return true

@@ -11,8 +11,10 @@
 # runs perfbench/run.sh once on the base and once on the working tree
 # with the same seed (SEED0, SEED0+1, ... for successive pairs), and the
 # pairs alternate which side runs first so slow drift of the machine
-# cancels out. run.sh compiles before the benchmark starts its clocks,
-# so each side's first build is not measured.
+# cancels out. Every run lasts BENCHMARK.json's run_seconds, with the
+# per-layer trace off, as the benchmark itself runs. run.sh compiles
+# before the benchmark starts its clocks, so each side's build is not
+# measured.
 #
 # Output: every run's JSON line on stderr as it finishes, then one row
 # per metric, and per workload kind for its latency percentiles, with the
@@ -23,19 +25,17 @@
 # compares against a report written on another machine, both sides here
 # are measured on this machine in the same session.
 #
-# Environment: RUN_SECONDS (default 30, as BENCHMARK.json's run_seconds),
-# SEED0 (default 101), TRACE (default 0; 1 compares the per-layer ledger).
+# Environment: SEED0, the first pair's seed (default 101).
 set -euo pipefail
 
 usage="usage: $0 BASE WORKLOAD PAIRS"
 base=${1:?$usage}
 workload=${2:?$usage}
 pairs=${3:?$usage}
-seconds=${RUN_SECONDS:-30}
 seed0=${SEED0:-101}
-trace=${TRACE:-0}
 
 root=$(git rev-parse --show-toplevel)
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")
 rev=$(git -C "$root" rev-parse --verify "$base^{commit}")
 work=$(mktemp -d "${TMPDIR:-/tmp}/perfbench_pair.XXXXXX")
 trap 'rm -rf "$work"' EXIT
@@ -50,7 +50,7 @@ run() {
 	local dir=$root
 	[ "$1" = base ] && dir=$work/base
 	bash "$dir/perfbench/run.sh" --workload "$workload" --seed "$2" \
-		--seconds "$seconds" --trace "$trace" >"$work/$1.$2.out"
+		--seconds "$seconds" --trace 0 >"$work/$1.$2.out"
 	echo "$1 seed=$2 $(tail -n 1 "$work/$1.$2.out")" >&2
 }
 
@@ -89,11 +89,8 @@ def load(side):
     return runs
 
 base, change = load("base"), load("change")
-try:
-    spec = json.load(open(sys.argv[4]))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-except (OSError, KeyError, ValueError):
-    better = {}
+spec = json.load(open(sys.argv[4]))
+better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 print(f"{'metric':40} {'base':>11} {'base q1-q3':>23} {'change':>11} {'ratio':>7} {'won':>6}")
 for name in base[0]:
