@@ -34,8 +34,9 @@ lint-metrics:
 
 # check is the local all-in-one gate: formatting, metric-name lint,
 # vet, build, the plain test suite, the race-enabled test suite, the
-# session benchmark's own tests and short runs, and the fleet and store
-# smokes. The plain run matters:
+# session benchmark's own tests and short runs, and the serve, fleet and
+# store smokes (serve-smoke proves traceparent join, flight-recorder
+# retention and qptrace ingest end to end). The plain run matters:
 # the allocation-regression gates (testing.AllocsPerRun in
 # internal/coverage) skip themselves under -race, so only a non-race
 # pass enforces the zero-allocs-per-Evaluate promise. CI splits the same
@@ -43,7 +44,7 @@ lint-metrics:
 # fast-fail gate, an {ubuntu, macos} x {oldest Go, stable} build+test
 # matrix, a dedicated -race job, serving smokes, and a
 # benchmark-regression job.
-check: fmtcheck lint-metrics vet build test race perfbench-test perfbench-smoke fleet-smoke store-smoke
+check: fmtcheck lint-metrics vet build test race perfbench-test perfbench-smoke serve-smoke fleet-smoke store-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -14,7 +14,6 @@ package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"qporder/internal/experiment"
-	"qporder/internal/obs"
 	"qporder/internal/stats"
 	"qporder/internal/workload"
 )
@@ -41,7 +39,7 @@ func main() {
 		universe  = flag.Int("universe", 4096, "coverage universe size")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		metrics   = flag.String("metrics-json", "", "write the machine-readable metrics report (JSON) to this path")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 		par       = flag.Int("parallelism", 1, "orderer worker count for the par experiment and the parallel metrics records (1 = sequential only)")
 		compare   = flag.String("compare", "", "baseline metrics JSON to regression-check sequential ns/plan against (exit 1 on regression)")
 		regThresh = flag.Float64("regress-threshold", 0.20, "allowed ns/plan worsening vs -compare baseline (0.20 = 20%)")
@@ -50,16 +48,13 @@ func main() {
 	)
 	flag.Parse()
 
-	var reg *obs.Registry
 	if *pprofAddr != "" {
-		reg = obs.NewRegistry()
-		expvar.Publish("qporder", reg)
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "qpbench: pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "pprof: serving %s (/debug/pprof/, /debug/vars)\n", *pprofAddr)
+		fmt.Fprintf(os.Stderr, "pprof: serving %s (/debug/pprof/)\n", *pprofAddr)
 	}
 
 	sizes, err := parseInts(*sizesFlag)
@@ -290,7 +285,7 @@ func main() {
 	}
 
 	if *metrics != "" || *compare != "" {
-		rep := buildMetrics(dc, sizes, base, reg, *par, *reps)
+		rep := buildMetrics(dc, sizes, base, *par, *reps)
 		rep.Serve = serveRecs
 		rep.Fleet = fleetRecs
 		rep.Store = storeRecs
@@ -318,7 +313,7 @@ func main() {
 // sequential-vs-parallel pairs (tagged by the parallelism field). Cells
 // are timed best-of-reps (sub-second cells only) so the micro cells
 // aren't at the mercy of one scheduler hiccup.
-func buildMetrics(dc experiment.DomainCache, sizes []int, base workload.Config, reg *obs.Registry, par, reps int) experiment.MetricsReport {
+func buildMetrics(dc experiment.DomainCache, sizes []int, base workload.Config, par, reps int) experiment.MetricsReport {
 	var recs []experiment.MetricRecord
 	for _, m := range sizes {
 		cfg := base
@@ -335,7 +330,7 @@ func buildMetrics(dc experiment.DomainCache, sizes []int, base workload.Config, 
 				cells = append(cells, c)
 			}
 		}
-		recs = append(recs, experiment.CollectMetrics(dc.Get(cfg), cells, reg)...)
+		recs = append(recs, experiment.CollectMetrics(dc.Get(cfg), cells, nil)...)
 	}
 	return experiment.MetricsReport{
 		SchemaVersion: experiment.MetricsSchemaVersion,

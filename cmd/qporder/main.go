@@ -126,26 +126,25 @@ func run() error {
 	if *stats {
 		reg = obs.NewRegistry()
 	}
-	tr := reg.Tracer()
-	// The request trace doubles as the provenance recorder for -explain
-	// and as the exported span tree for -trace; nil (the default) keeps
-	// the ordering hot path allocation-identical to an untraced run.
+	// The request trace times every phase: its spans feed the -stats
+	// span aggregates (through reg), and it doubles as the provenance
+	// recorder for -explain and the exported span tree for -trace; nil
+	// (the default) keeps the ordering hot path allocation-identical to
+	// an untraced run.
 	var rt *obs.Trace
-	if *explain || *traceOut != "" {
-		rt = obs.NewTrace("qporder")
+	if *stats || *explain || *traceOut != "" {
+		rt = obs.NewTrace(reg, "qporder")
 		rt.SetAttr("query", q.String())
 		rt.SetAttr("algorithm", *algo)
 		rt.SetAttr("measure", *meas)
 	}
 
-	refSpan := obs.StartSpan(tr, "qporder/reformulate")
-	refTSpan := rt.StartSpan("qporder/reformulate")
+	refSpan := rt.StartSpan("qporder/reformulate")
 	buckets, err := reformulate.BuildBuckets(q, dom.Catalog)
 	if err != nil {
 		return err
 	}
 	pd := reformulate.NewPlanDomain(buckets, dom.Catalog)
-	refTSpan.End()
 	refSpan.End()
 	if !*plansOnly {
 		fmt.Printf("plan space: %d candidate plans\n", pd.Space.Size())
@@ -183,10 +182,8 @@ func run() error {
 
 	produced := 0
 	for produced < *k {
-		ordSpan := obs.StartSpan(tr, "qporder/order")
-		ordTSpan := rt.StartSpan("qporder/order")
+		ordSpan := rt.StartSpan("qporder/order")
 		plan, pq, utility, ok, err := pd.SoundNext(o)
-		ordTSpan.End()
 		ordSpan.End()
 		if err != nil {
 			return err
@@ -212,15 +209,13 @@ func run() error {
 		if engine != nil {
 			costBefore := engine.Cost
 			execStart := time.Now()
-			execSpan := obs.StartSpan(tr, "qporder/execute")
-			execTSpan := rt.StartSpan("qporder/execute")
+			execSpan := rt.StartSpan("qporder/execute")
 			var out []schema.Atom
 			if pp != nil {
 				out, err = engine.ExecutePhysical(pp)
 			} else {
 				out, err = engine.ExecutePlan(pq)
 			}
-			execTSpan.End()
 			execSpan.End()
 			execWall := time.Since(execStart)
 			if err != nil {

@@ -37,7 +37,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -123,7 +122,6 @@ func run() error {
 		return err
 	}
 	defer rt.Close()
-	expvar.Publish("qprouter", reg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -33,7 +33,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -157,7 +156,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	expvar.Publish("qporder", reg)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

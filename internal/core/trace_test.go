@@ -56,7 +56,7 @@ func TestProvenanceParityAcrossOrderers(t *testing.T) {
 	}
 	runs := map[string]run{}
 	for name, o := range tracedOrderers(t, d, spaces, m) {
-		tr := obs.NewTrace("test/" + name)
+		tr := obs.NewTrace(nil, "test/"+name)
 		SetTrace(o, tr)
 		evalsAtBind := o.Context().Evals()
 		plans, utils := Take(o, k)
@@ -113,7 +113,7 @@ func TestProvenanceParityAcrossOrderers(t *testing.T) {
 func TestProvenanceSurvivesInstrument(t *testing.T) {
 	d, spaces, m := provDomain(t)
 	for name, o := range tracedOrderers(t, d, spaces, m) {
-		tr := obs.NewTrace("test")
+		tr := obs.NewTrace(nil, "test")
 		SetTrace(o, tr)
 		Instrument(o, obs.NewRegistry()) // after SetTrace, the hostile order
 		plans, _ := Take(o, 3)
@@ -137,7 +137,7 @@ func TestProvenanceSurvivesInstrument(t *testing.T) {
 // plans must continue the plan index, not restart at zero.
 func TestProvenanceIndexContinuesAcrossRebind(t *testing.T) {
 	_, spaces, m := provDomain(t)
-	tr := obs.NewTrace("test")
+	tr := obs.NewTrace(nil, "test")
 	first, err := NewGreedy(spaces, m)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestProvenanceIndexContinuesAcrossRebind(t *testing.T) {
 // TestDetachedTraceRecordsNothing: SetTrace(nil) is the disabled state.
 func TestDetachedTraceRecordsNothing(t *testing.T) {
 	d, spaces, m := provDomain(t)
-	tr := obs.NewTrace("test")
+	tr := obs.NewTrace(nil, "test")
 	for name, o := range tracedOrderers(t, d, spaces, m) {
 		SetTrace(o, tr)
 		SetTrace(o, nil)
@@ -218,7 +218,7 @@ func BenchmarkProvenanceTracing(b *testing.B) {
 					b.Fatal(err)
 				}
 				if traced {
-					SetTrace(o, obs.NewTrace("bench"))
+					SetTrace(o, obs.NewTrace(nil, "bench"))
 				}
 				Take(o, total)
 			}

@@ -186,8 +186,7 @@ func CompareAllocs(cur, base MetricsReport, threshold float64) []AllocRegression
 }
 
 // CollectMetrics runs every cell against the shared domain and returns
-// one MetricRecord per cell. All cells share reg (created if nil), so an
-// expvar/pprof endpoint publishing reg shows counts accumulating live;
+// one MetricRecord per cell. All cells share reg (created if nil);
 // per-cell numbers are computed as before/after counter deltas.
 func CollectMetrics(d *workload.Domain, cells []Cell, reg *obs.Registry) []MetricRecord {
 	if reg == nil {

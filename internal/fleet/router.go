@@ -323,7 +323,7 @@ const CodeShardStream = "shard_stream"
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rc := &routeCtx{start: time.Now()}
 	if rt.cfg.TraceOut != nil {
-		rc.tr = obs.StartRequestTrace("router /v1/query", r.Header.Get("Traceparent"))
+		rc.tr = obs.StartRequestTrace(rt.cfg.Registry, "router /v1/query", r.Header.Get("Traceparent"))
 		// The client joins the router's trace; the shard hops hang off it
 		// below, all under the same trace ID.
 		w.Header().Set("Traceparent", rc.tr.Traceparent())

@@ -118,11 +118,12 @@ type Config struct {
 	// answers it contributed — the streaming hook the serving layer uses
 	// to push results to clients as they are produced.
 	OnPlan func(PlanEvent)
-	// Obs, when non-nil, receives phase spans (mediator/reformulate,
-	// mediator/order, mediator/soundness, mediator/execute,
-	// mediator/reorder), the orderer's per-algorithm work counters, and
-	// the run-level gauges and counters. Nil disables instrumentation at
-	// zero cost.
+	// Obs, when non-nil, receives the orderer's per-algorithm work
+	// counters and the run-level gauges and counters. Nil disables
+	// instrumentation at zero cost. Phase spans (mediator/run, order,
+	// soundness, execute, reorder) come from the request trace a Run's
+	// context carries (obs.WithTrace); a trace bound to a registry folds
+	// them into its span aggregates.
 	Obs *obs.Registry
 	// Calib, when non-nil, accumulates estimator-calibration series: the
 	// engine pairs each unconstrained source access's Tuples estimate
@@ -355,15 +356,12 @@ func New(cfg Config) (*System, error) {
 	if cfg.PhysN == 0 {
 		cfg.PhysN = 50000
 	}
-	tr := cfg.Obs.Tracer()
 
 	var src planSource
 	if cfg.Prepared != nil {
 		src = cfg.Prepared.src
 	} else {
-		reformSpan := obs.StartSpan(tr, "mediator/reformulate")
 		prep, err := Prepare(cfg.Query, cfg.Catalog, cfg.Reformulator)
-		reformSpan.End()
 		if err != nil {
 			return nil, err
 		}
@@ -407,9 +405,7 @@ func New(cfg Config) (*System, error) {
 			s.tracker.DriftFactor = cfg.DriftFactor
 		}
 	}
-	buildSpan := obs.StartSpan(tr, "mediator/build-orderer")
 	o, err := s.buildOrderer(m, src.spaces())
-	buildSpan.End()
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +441,6 @@ func (s *System) buildOrderer(m measure.Measure, spaces []*planspace.Space) (cor
 // replayed into the fresh measure context so conditional utilities stay
 // correct.
 func (s *System) reorder() error {
-	defer obs.StartSpan(s.cfg.Obs.Tracer(), "mediator/reorder").End()
 	defer s.trace.StartSpan("mediator/reorder").End()
 	s.trace.Event("adaptive/reorder", "statistics drift triggered re-ordering")
 	revised, err := s.tracker.Revise()
@@ -517,12 +512,9 @@ type sound struct {
 
 // nextSound pulls the orderer until a sound plan appears.
 func (s *System) nextSound() sound {
-	tr := s.cfg.Obs.Tracer()
 	for {
-		orderSpan := obs.StartSpan(tr, "mediator/order")
-		orderTSpan := s.trace.StartSpan("mediator/order")
+		orderSpan := s.trace.StartSpan("mediator/order")
 		p, u, ok := s.orderer.Next()
-		orderTSpan.End()
 		orderSpan.End()
 		if !ok {
 			return sound{}
@@ -531,10 +523,8 @@ func (s *System) nextSound() sound {
 		if err != nil {
 			continue // unsafe: cannot be sound
 		}
-		soundSpan := obs.StartSpan(tr, "mediator/soundness")
-		soundTSpan := s.trace.StartSpan("mediator/soundness")
+		soundSpan := s.trace.StartSpan("mediator/soundness")
 		isSound, err := s.src.isSound(p)
-		soundTSpan.End()
 		soundSpan.End()
 		if err != nil {
 			return sound{err: err}
@@ -626,10 +616,8 @@ func (s *System) RunContext(ctx context.Context, engine *execsim.Engine, budget 
 		}
 		costBefore := engine.Cost
 		execStart := time.Now()
-		execSpan := obs.StartSpan(s.cfg.Obs.Tracer(), "mediator/execute")
-		execTSpan := s.trace.StartSpan("mediator/execute")
+		execSpan := s.trace.StartSpan("mediator/execute")
 		out, err := s.execute(engine, sp.pq)
-		execTSpan.End()
 		execSpan.End()
 		execWall := time.Since(execStart)
 		if err != nil {

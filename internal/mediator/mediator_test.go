@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -228,9 +229,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestObservedRun checks the Config.Obs wiring: phase spans and pipeline
-// counters populate, the time-to-first-answer gauge is set, and a Run
-// after exhaustion neither calls Next again nor executes more plans.
+// TestObservedRun checks the Config.Obs wiring: pipeline counters
+// populate, a Run under a registry-bound request trace folds its phase
+// spans into the registry, the time-to-first-answer gauge is set, and a
+// Run after exhaustion neither calls Next again nor executes more plans.
 func TestObservedRun(t *testing.T) {
 	cfg, eng, _ := fixture(t)
 	reg := obs.NewRegistry()
@@ -239,7 +241,8 @@ func TestObservedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(eng, Budget{})
+	ctx := obs.WithTrace(context.Background(), obs.NewTrace(reg, "test"))
+	res, err := sys.RunContext(ctx, eng, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +262,11 @@ func TestObservedRun(t *testing.T) {
 	}
 
 	spans := map[string]bool{}
-	for _, st := range reg.Tracer().Stats() {
+	for _, st := range reg.Snapshot().Spans {
 		spans[st.Name] = true
 	}
 	for _, name := range []string{
-		"mediator/reformulate", "mediator/build-orderer",
-		"mediator/order", "mediator/soundness", "mediator/execute",
+		"mediator/run", "mediator/order", "mediator/soundness", "mediator/execute",
 	} {
 		if !spans[name] {
 			t.Errorf("span %q missing (have %v)", name, spans)

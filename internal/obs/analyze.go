@@ -45,14 +45,26 @@ func ReadTraces(r io.Reader) ([]TraceSnapshot, error) {
 	return out, nil
 }
 
-// SpanAgg aggregates all spans sharing one name across the analyzed
-// traces.
+// SpanAgg aggregates all spans sharing one name: across the analyzed
+// traces in a TraceReport, across every bound trace in a Registry.
 type SpanAgg struct {
-	Name    string        `json:"name"`
-	Count   int64         `json:"count"`
-	TotalNS int64         `json:"total_ns"`
-	MaxNS   int64         `json:"max_ns"`
-	Total   time.Duration `json:"-"`
+	Name    string `json:"name"`
+	Count   int64  `json:"count"`
+	TotalNS int64  `json:"total_ns"`
+	MinNS   int64  `json:"min_ns"`
+	MaxNS   int64  `json:"max_ns"`
+}
+
+// add folds one span duration into the aggregate.
+func (a *SpanAgg) add(d int64) {
+	if a.Count == 0 || d < a.MinNS {
+		a.MinNS = d
+	}
+	if d > a.MaxNS {
+		a.MaxNS = d
+	}
+	a.Count++
+	a.TotalNS += d
 }
 
 // RequestSummary is one analyzed request.
@@ -148,11 +160,7 @@ func AnalyzeTraces(ts []TraceSnapshot, top int) TraceReport {
 				a = &SpanAgg{Name: s.Name}
 				aggs[s.Name] = a
 			}
-			a.Count++
-			a.TotalNS += s.DurNS
-			if s.DurNS > a.MaxNS {
-				a.MaxNS = s.DurNS
-			}
+			a.add(s.DurNS)
 		}
 		for _, p := range t.Plans {
 			rep.Plans++

@@ -27,9 +27,9 @@ func ndjson(t *testing.T, snaps ...TraceSnapshot) string {
 }
 
 func TestReadTracesRoundTrip(t *testing.T) {
-	a := NewTrace("one")
+	a := NewTrace(nil, "one")
 	a.StartSpan("order").End()
-	b := NewTrace("two")
+	b := NewTrace(nil, "two")
 	in := ndjson(t, a.Finish(), b.Finish())
 	ts, err := ReadTraces(strings.NewReader(in))
 	if err != nil {
@@ -41,7 +41,7 @@ func TestReadTracesRoundTrip(t *testing.T) {
 }
 
 func TestReadTracesMalformed(t *testing.T) {
-	good := ndjson(t, NewTrace("ok").Finish())
+	good := ndjson(t, NewTrace(nil, "ok").Finish())
 	if _, err := ReadTraces(strings.NewReader(good + "{not json\n")); err == nil {
 		t.Fatal("malformed line did not error")
 	} else if !strings.Contains(err.Error(), "line 2") {
@@ -142,7 +142,7 @@ func TestAnalyzeTracesTopCap(t *testing.T) {
 }
 
 func TestTraceReportWriteText(t *testing.T) {
-	tr := NewTrace("req")
+	tr := NewTrace(nil, "req")
 	tr.StartSpan("order").End()
 	tr.EmitPlan(PlanProvenance{Index: 0, Evals: 3})
 	rep := AnalyzeTraces([]TraceSnapshot{tr.Finish()}, 10)

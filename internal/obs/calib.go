@@ -333,17 +333,6 @@ func (c *Calibration) Snapshot() CalibrationSnapshot {
 	return snap
 }
 
-// Reset clears every series, keeping the configuration.
-func (c *Calibration) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.sources = make(map[string]*calibSeries)
-	c.plans = make(map[string]*calibSeries)
-	c.mu.Unlock()
-}
-
 // Empty reports whether the snapshot holds no series at all.
 func (s CalibrationSnapshot) Empty() bool {
 	return len(s.Sources) == 0 && len(s.Plans) == 0

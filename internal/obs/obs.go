@@ -1,11 +1,14 @@
 // Package obs is the zero-dependency observability layer of the
-// pipeline: atomic counters, gauges, and histograms; span tracing with
-// nested spans and a bounded event log; and a Registry aggregating both
-// with text, JSON, and expvar-compatible rendering.
+// pipeline: atomic counters, gauges, and histograms; request-scoped
+// traces (trace.go) with nested spans, a bounded event log, and plan
+// provenance; and a Registry aggregating the instruments plus the
+// per-name span aggregates of every trace bound to it, with text, JSON,
+// and OpenMetrics rendering. A span is timed once, by TraceSpan.End,
+// which both records it on its trace and folds it into the registry.
 //
 // Every public method is nil-safe: a nil *Registry hands out nil
-// instruments, and a nil *Counter, *Gauge, *Histogram, *Tracer, or *Span
-// is a no-op. Hot paths therefore instrument unconditionally — when
+// instruments, and a nil *Counter, *Gauge, *Histogram, *Trace, or
+// *TraceSpan is a no-op. Hot paths therefore instrument unconditionally — when
 // observability is disabled the calls reduce to a nil check and cost no
 // allocations (see BenchmarkOrdererObs in the repository root).
 package obs
@@ -17,8 +20,7 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing (except for Reset) atomic
-// counter. The zero value is ready to use; a nil Counter is a no-op.
+// Counter is a monotonically increasing atomic counter. The zero value is ready to use; a nil Counter is a no-op.
 type Counter struct {
 	v atomic.Int64
 }
@@ -43,13 +45,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v.Store(0)
-	}
 }
 
 // Gauge is an atomic float64 instantaneous value. The zero value is
@@ -85,13 +80,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Reset sets the gauge back to zero.
-func (g *Gauge) Reset() {
-	if g != nil {
-		g.bits.Store(0)
-	}
 }
 
 // histBuckets is the number of power-of-two histogram buckets: bucket 0
@@ -148,28 +136,10 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketIndex(v)].Add(1)
 }
 
-// ObserveDuration records d in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
 // ObserveSince records the nanoseconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) {
 	if h != nil {
 		h.Observe(int64(time.Since(start)))
-	}
-}
-
-// Reset clears all recorded observations.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.min.Store(0)
-	h.max.Store(0)
-	h.sampled.Store(false)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,10 +19,6 @@ func TestCounter(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("Value = %d, want 42", got)
 	}
-	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Fatalf("after Reset, Value = %d, want 0", got)
-	}
 }
 
 func TestGauge(t *testing.T) {
@@ -29,10 +27,6 @@ func TestGauge(t *testing.T) {
 	g.Add(1.5)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("Value = %g, want 4", got)
-	}
-	g.Reset()
-	if got := g.Value(); got != 0 {
-		t.Fatalf("after Reset, Value = %g, want 0", got)
 	}
 }
 
@@ -61,14 +55,9 @@ func TestHistogram(t *testing.T) {
 	if total != s.Count {
 		t.Fatalf("bucket counts sum to %d, want %d", total, s.Count)
 	}
-	h.ObserveDuration(3 * time.Millisecond)
 	h.ObserveSince(time.Now().Add(-time.Millisecond))
-	if got := h.Snapshot().Count; got != 7 {
-		t.Fatalf("Count after duration observations = %d, want 7", got)
-	}
-	h.Reset()
-	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || len(s.Buckets) != 0 {
-		t.Fatalf("after Reset, snapshot = %+v, want zero", s)
+	if got := h.Snapshot().Count; got != 6 {
+		t.Fatalf("Count after ObserveSince = %d, want 6", got)
 	}
 }
 
@@ -88,8 +77,9 @@ func TestBucketIndexBounds(t *testing.T) {
 }
 
 func TestSpans(t *testing.T) {
-	tr := NewTracer(4)
-	root := StartSpan(tr, "order")
+	r := NewRegistry()
+	tr := NewTrace(r, "req")
+	root := tr.StartSpan("order")
 	child := root.StartSpan("soundness")
 	child.Annotate("checking plan")
 	if d := child.End(); d < 0 {
@@ -99,57 +89,85 @@ func TestSpans(t *testing.T) {
 		t.Fatalf("second End = %v, want 0", d)
 	}
 	root.End()
-	tr.Event("note", "free-standing")
 
-	stats := tr.Stats()
+	stats := r.Snapshot().Spans
 	if len(stats) != 2 {
-		t.Fatalf("Stats has %d paths, want 2: %+v", len(stats), stats)
+		t.Fatalf("registry has %d span names, want 2: %+v", len(stats), stats)
 	}
-	if stats[0].Name != "order" || stats[1].Name != "order/soundness" {
-		t.Fatalf("span paths = %q, %q", stats[0].Name, stats[1].Name)
+	if stats[0].Name != "order" || stats[1].Name != "soundness" {
+		t.Fatalf("span names = %q, %q", stats[0].Name, stats[1].Name)
 	}
-	if stats[0].Count != 1 || stats[0].Min != stats[0].Max || stats[0].Total != stats[0].Min {
-		t.Fatalf("aggregate wrong for single span: %+v", stats[0])
-	}
-
-	events := tr.Events()
-	if len(events) != 4 {
-		t.Fatalf("Events has %d entries, want 4", len(events))
-	}
-	if events[len(events)-1].Msg != "free-standing" {
-		t.Fatalf("last event = %+v", events[len(events)-1])
+	for _, st := range stats {
+		if st.Count != 1 || st.MinNS != st.MaxNS || st.TotalNS != st.MinNS {
+			t.Fatalf("aggregate wrong for single span: %+v", st)
+		}
 	}
 
-	tr.Reset()
-	if len(tr.Stats()) != 0 || len(tr.Events()) != 0 {
-		t.Fatal("Reset did not clear tracer")
+	snap := tr.Finish()
+	if len(snap.Spans) != 3 { // synthetic root + order + soundness
+		t.Fatalf("trace has %d spans, want 3", len(snap.Spans))
 	}
-}
-
-func TestTracerRingOverflow(t *testing.T) {
-	tr := NewTracer(3)
-	for i := 0; i < 5; i++ {
-		tr.Event("e", string(rune('a'+i)))
-	}
-	events := tr.Events()
-	if len(events) != 3 {
-		t.Fatalf("ring kept %d events, want 3", len(events))
-	}
-	if events[0].Msg != "c" || events[2].Msg != "e" {
-		t.Fatalf("ring contents wrong: %+v", events)
+	if len(snap.Events) != 1 || snap.Events[0].Msg != "checking plan" {
+		t.Fatalf("trace events = %+v", snap.Events)
 	}
 }
 
 func TestSpanAggregatesMinMax(t *testing.T) {
-	tr := NewTracer(0)
+	r := NewRegistry()
+	tr := NewTrace(r, "req")
 	for i := 0; i < 3; i++ {
-		s := StartSpan(tr, "work")
+		s := tr.StartSpan("work")
 		time.Sleep(time.Duration(i) * time.Millisecond)
 		s.End()
 	}
-	st := tr.Stats()[0]
-	if st.Count != 3 || st.Min > st.Max || st.Total < st.Max {
+	st := r.Snapshot().Spans[0]
+	if st.Count != 3 || st.MinNS > st.MaxNS || st.TotalNS < st.MaxNS || st.MaxNS < int64(2*time.Millisecond) {
 		t.Fatalf("aggregate inconsistent: %+v", st)
+	}
+}
+
+// TestTraceOverflowStillAggregates: a trace stops recording span records
+// at DefaultMaxTraceSpans, but its registry counts every End.
+func TestTraceOverflowStillAggregates(t *testing.T) {
+	r := NewRegistry()
+	tr := NewTrace(r, "req")
+	const n = DefaultMaxTraceSpans + 7
+	for i := 0; i < n; i++ {
+		tr.StartSpan("s").End()
+	}
+	snap := tr.Finish()
+	if len(snap.Spans) != DefaultMaxTraceSpans+1 || snap.Dropped != n-DefaultMaxTraceSpans {
+		t.Fatalf("trace kept %d spans, dropped %d", len(snap.Spans), snap.Dropped)
+	}
+	if st := r.Snapshot().Spans; len(st) != 1 || st[0].Count != n {
+		t.Fatalf("registry spans = %+v, want one row counting %d", st, n)
+	}
+}
+
+// TestAnalyzeTracesMatchesRegistry: the offline report and a registry
+// fed the same span ends build identical SpanAgg rows.
+func TestAnalyzeTracesMatchesRegistry(t *testing.T) {
+	r := NewRegistry()
+	var snaps []TraceSnapshot
+	for i := 0; i < 3; i++ {
+		tr := NewTrace(r, "req")
+		outer := tr.StartSpan("outer")
+		for j := 0; j <= i; j++ {
+			inner := outer.StartSpan("inner")
+			time.Sleep(time.Duration(j) * 100 * time.Microsecond)
+			inner.End()
+		}
+		outer.End()
+		snaps = append(snaps, tr.Finish())
+	}
+	got := AnalyzeTraces(snaps, 100).Spans
+	sort.Slice(got, func(i, j int) bool { return got[i].Name < got[j].Name })
+	want := r.Snapshot().Spans
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AnalyzeTraces spans = %+v\nregistry spans = %+v", got, want)
+	}
+	if len(want) != 2 || want[0].Count != 6 || want[1].Count != 3 {
+		t.Fatalf("unexpected rows: %+v", want)
 	}
 }
 
@@ -167,25 +185,14 @@ func TestRegistrySharingAndSnapshot(t *testing.T) {
 	r.Counter("x").Add(7)
 	r.Gauge("g").Set(1.25)
 	r.Histogram("h").Observe(9)
-	StartSpan(r.Tracer(), "phase").End()
+	NewTrace(r, "req").StartSpan("phase").End()
 
 	s := r.Snapshot()
 	if s.Counters["x"] != 7 || s.Gauges["g"] != 1.25 || s.Histograms["h"].Count != 1 {
 		t.Fatalf("snapshot wrong: %+v", s)
 	}
-	if len(s.Spans) != 1 || s.Spans[0].Name != "phase" {
+	if len(s.Spans) != 1 || s.Spans[0].Name != "phase" || s.Spans[0].Count != 1 {
 		t.Fatalf("snapshot spans wrong: %+v", s.Spans)
-	}
-	if len(s.Events) != 1 {
-		t.Fatalf("snapshot events wrong: %+v", s.Events)
-	}
-
-	r.Reset()
-	if r.Counter("x").Value() != 0 || r.Gauge("g").Value() != 0 {
-		t.Fatal("Reset did not zero instruments")
-	}
-	if s := r.Snapshot(); len(s.Spans) != 0 || len(s.Events) != 0 {
-		t.Fatal("Reset did not clear tracer")
 	}
 }
 
@@ -194,7 +201,7 @@ func TestRegistryRenderings(t *testing.T) {
 	r.Counter("core.streamer.dominance_tests").Add(3)
 	r.Gauge("mediator.time_to_first_answer_ns").Set(1500)
 	r.Histogram("core.streamer.next_ns").Observe(2048)
-	StartSpan(r.Tracer(), "mediator/reformulate").End()
+	NewTrace(r, "req").StartSpan("mediator/order").End()
 
 	var jsonBuf bytes.Buffer
 	if err := r.WriteJSON(&jsonBuf); err != nil {
@@ -208,18 +215,13 @@ func TestRegistryRenderings(t *testing.T) {
 		t.Fatalf("JSON round-trip lost counter: %+v", snap)
 	}
 
-	var exp Snapshot
-	if err := json.Unmarshal([]byte(r.String()), &exp); err != nil {
-		t.Fatalf("String() is not valid JSON: %v", err)
-	}
-
 	var text bytes.Buffer
 	if err := r.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"counters:", "core.streamer.dominance_tests", "gauges:",
-		"histograms:", "spans:", "mediator/reformulate",
+		"histograms:", "spans:", "mediator/order",
 	} {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("WriteText output missing %q:\n%s", want, text.String())
@@ -233,7 +235,6 @@ func TestNilSafety(t *testing.T) {
 	var c *Counter
 	c.Inc()
 	c.Add(3)
-	c.Reset()
 	if c.Value() != 0 {
 		t.Fatal("nil Counter value not 0")
 	}
@@ -241,44 +242,23 @@ func TestNilSafety(t *testing.T) {
 	var g *Gauge
 	g.Set(1)
 	g.Add(1)
-	g.Reset()
 	if g.Value() != 0 {
 		t.Fatal("nil Gauge value not 0")
 	}
 
 	var h *Histogram
 	h.Observe(1)
-	h.ObserveDuration(time.Second)
 	h.ObserveSince(time.Now())
-	h.Reset()
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Fatal("nil Histogram snapshot not zero")
 	}
 
-	var tr *Tracer
-	tr.Event("a", "b")
-	tr.Reset()
-	if tr.Stats() != nil || tr.Events() != nil {
-		t.Fatal("nil Tracer stats/events not nil")
-	}
-	sp := StartSpan(tr, "x")
-	if sp != nil {
-		t.Fatal("StartSpan on nil tracer returned non-nil span")
-	}
-	sp.Annotate("m")
-	if sp.End() != 0 {
-		t.Fatal("nil Span End not 0")
-	}
-	if sp.StartSpan("child") != nil {
-		t.Fatal("nil Span StartSpan returned non-nil")
-	}
-
 	var r *Registry
-	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Histogram("h") != nil || r.Tracer() != nil {
+	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Histogram("h") != nil {
 		t.Fatal("nil Registry handed out non-nil instruments")
 	}
-	r.Reset()
-	if s := r.Snapshot(); len(s.Counters) != 0 {
+	NewTrace(r, "req").StartSpan("s").End() // a trace bound to nil keeps no aggregates
+	if s := r.Snapshot(); len(s.Counters) != 0 || len(s.Spans) != 0 {
 		t.Fatal("nil Registry snapshot not zero")
 	}
 	var buf bytes.Buffer
@@ -287,9 +267,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if r.String() == "" {
-		t.Fatal("nil Registry String empty")
 	}
 }
 
@@ -307,16 +284,16 @@ func TestConcurrentRegistry(t *testing.T) {
 			c := r.Counter("shared")
 			h := r.Histogram("lat")
 			g := r.Gauge("g")
+			tr := NewTrace(r, "w")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				h.Observe(int64(i % 100))
 				g.Add(1)
 				if i%500 == 0 {
-					s := StartSpan(r.Tracer(), "w")
+					s := tr.StartSpan("w")
 					s.Annotate("tick")
 					s.End()
 					_ = r.Snapshot()
-					_ = r.String()
 				}
 			}
 		}()
@@ -331,6 +308,9 @@ func TestConcurrentRegistry(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != workers*perWorker {
 		t.Fatalf("gauge = %g, want %d", got, workers*perWorker)
 	}
+	if got := r.Snapshot().Spans; len(got) != 1 || got[0].Count != workers*perWorker/500 {
+		t.Fatalf("spans = %+v, want one row counting %d", got, workers*perWorker/500)
+	}
 }
 
 // TestDisabledPathAllocs proves the disabled (nil) instruments allocate
@@ -338,11 +318,11 @@ func TestConcurrentRegistry(t *testing.T) {
 func TestDisabledPathAllocs(t *testing.T) {
 	var c *Counter
 	var h *Histogram
-	var r *Registry
+	var tr *Trace
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		h.Observe(5)
-		sp := StartSpan(r.Tracer(), "x")
+		sp := tr.StartSpan("x")
 		sp.End()
 	})
 	if allocs != 0 {

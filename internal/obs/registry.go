@@ -9,8 +9,9 @@ import (
 	"time"
 )
 
-// Registry aggregates named counters, gauges, and histograms plus one
-// tracer. Instruments are created on first lookup and shared thereafter,
+// Registry aggregates named counters, gauges, and histograms plus the
+// per-name aggregates of every request-trace span bound to it (see
+// NewTrace). Instruments are created on first lookup and shared thereafter,
 // so independent subsystems accumulate into the same instrument when
 // they agree on a name. All methods are concurrency-safe, and every
 // method on a nil *Registry is a safe no-op (lookups return nil no-op
@@ -20,7 +21,10 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	tracer   *Tracer
+	// spans folds every TraceSpan.End of a trace bound to the registry,
+	// under its own lock so span ends never contend with lookups.
+	spanMu sync.Mutex
+	spans  map[string]*SpanAgg
 	// collectors run at the start of every Snapshot, outside the lock,
 	// to refresh gauges that mirror external state (runtime metrics).
 	collectors []func()
@@ -28,13 +32,13 @@ type Registry struct {
 	calib *Calibration
 }
 
-// NewRegistry returns an empty registry with a DefaultMaxEvents tracer.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		tracer:   NewTracer(0),
+		spans:    make(map[string]*SpanAgg),
 	}
 }
 
@@ -86,13 +90,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Tracer returns the registry's tracer (nil, hence no-op, for a nil
-// registry).
-func (r *Registry) Tracer() *Tracer {
+// observeSpan folds one finished span into the per-name aggregate.
+func (r *Registry) observeSpan(name string, d int64) {
 	if r == nil {
-		return nil
+		return
 	}
-	return r.tracer
+	r.spanMu.Lock()
+	a := r.spans[name]
+	if a == nil {
+		a = &SpanAgg{Name: name}
+		r.spans[name] = a
+	}
+	a.add(d)
+	r.spanMu.Unlock()
 }
 
 // AddCollector registers a function invoked at the start of every
@@ -130,33 +140,12 @@ func (r *Registry) Calibration() *Calibration {
 	return r.calib
 }
 
-// Reset zeroes every instrument and clears the tracer, keeping the
-// instrument identities (pointers handed out remain valid).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	for _, c := range r.counters {
-		c.Reset()
-	}
-	for _, g := range r.gauges {
-		g.Reset()
-	}
-	for _, h := range r.hists {
-		h.Reset()
-	}
-	r.mu.Unlock()
-	r.tracer.Reset()
-}
-
 // Snapshot is a point-in-time copy of a registry, JSON-serializable.
 type Snapshot struct {
 	Counters    map[string]int64        `json:"counters,omitempty"`
 	Gauges      map[string]float64      `json:"gauges,omitempty"`
 	Histograms  map[string]HistSnapshot `json:"histograms,omitempty"`
-	Spans       []SpanStat              `json:"spans,omitempty"`
-	Events      []Event                 `json:"events,omitempty"`
+	Spans       []SpanAgg               `json:"spans,omitempty"`
 	Calibration *CalibrationSnapshot    `json:"calibration,omitempty"`
 }
 
@@ -191,8 +180,12 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	r.mu.Unlock()
-	s.Spans = r.tracer.Stats()
-	s.Events = r.tracer.Events()
+	r.spanMu.Lock()
+	for _, a := range r.spans {
+		s.Spans = append(s.Spans, *a)
+	}
+	r.spanMu.Unlock()
+	sort.Slice(s.Spans, func(i, j int) bool { return s.Spans[i].Name < s.Spans[j].Name })
 	if calib != nil {
 		cs := calib.Snapshot()
 		s.Calibration = &cs
@@ -207,19 +200,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// String renders the snapshot as compact JSON. This satisfies the
-// expvar.Var interface, so a registry can be exported live with
-// expvar.Publish("qporder", reg).
-func (r *Registry) String() string {
-	b, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
 // WriteText renders a human-readable report: sorted counters and gauges,
-// histogram summaries, and per-path span statistics.
+// histogram summaries, and per-name span statistics.
 func (r *Registry) WriteText(w io.Writer) error {
 	s := r.Snapshot()
 	var err error
@@ -252,8 +234,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 	if len(s.Spans) > 0 {
 		p("spans:\n")
 		for _, st := range s.Spans {
-			p("  %-48s count=%d total=%s min=%s max=%s\n",
-				st.Name, st.Count, st.Total, st.Min, st.Max)
+			p("  %-48s count=%d total=%s min=%s max=%s\n", st.Name, st.Count,
+				time.Duration(st.TotalNS), time.Duration(st.MinNS), time.Duration(st.MaxNS))
 		}
 	}
 	if err == nil && s.Calibration != nil && !s.Calibration.Empty() {

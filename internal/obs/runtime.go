@@ -8,7 +8,7 @@ import (
 )
 
 // This file mirrors a small set of Go runtime metrics into a Registry so
-// they appear in /metrics in every format (text, JSON, expvar,
+// they appear in /metrics in every format (text, JSON,
 // OpenMetrics) next to the pipeline's own instruments: live heap bytes,
 // GC pause p50/p95 from the runtime's pause-duration histogram,
 // goroutine count, and GOMAXPROCS. The values refresh lazily — a

@@ -167,9 +167,9 @@ func TestStitchOrderedByDuration(t *testing.T) {
 // End-to-end through the live Trace API: two processes' worth of traces
 // built with StartRequestTrace must stitch with correct parent links.
 func TestStitchLiveTraces(t *testing.T) {
-	router := NewTrace("router /v1/query")
+	router := NewTrace(nil, "router /v1/query")
 	slice := router.StartSpan("router/slice0")
-	shard := StartRequestTrace("POST /v1/query", slice.Traceparent())
+	shard := StartRequestTrace(nil, "POST /v1/query", slice.Traceparent())
 	sp := shard.StartSpan("order")
 	time.Sleep(time.Millisecond)
 	sp.End()
@@ -201,9 +201,9 @@ func TestStitchLiveTraces(t *testing.T) {
 // though they share the trace ID (the per-trace salt, not the trace ID,
 // provides the entropy).
 func TestCrossProcessSpanIDsDistinct(t *testing.T) {
-	parent := NewTrace("router")
-	a := StartRequestTrace("shard-a", parent.Traceparent())
-	b := StartRequestTrace("shard-b", parent.Traceparent())
+	parent := NewTrace(nil, "router")
+	a := StartRequestTrace(nil, "shard-a", parent.Traceparent())
+	b := StartRequestTrace(nil, "shard-b", parent.Traceparent())
 	seen := map[SpanID]bool{}
 	for _, tr := range []*Trace{parent, a, b} {
 		for i := 0; i < 16; i++ {

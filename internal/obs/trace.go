@@ -226,6 +226,7 @@ type Trace struct {
 	salt   [8]byte // per-trace random entropy mixed into span IDs
 	name   string
 	start  time.Time
+	reg    *Registry // folds every span End into its aggregates; nil for none
 
 	spanSeq atomic.Uint64 // span-ID allocator; unique within the trace
 
@@ -241,26 +242,29 @@ type Trace struct {
 	dur      time.Duration
 }
 
-// NewTrace starts a trace with a fresh random trace ID.
-func NewTrace(name string) *Trace {
-	return newTrace(NewTraceID(), SpanID{}, name)
+// NewTrace starts a trace with a fresh random trace ID. Every span the
+// trace ends is also folded into reg's per-name span aggregates, so the
+// registry and the trace report each phase from the same stopwatch; a
+// nil reg keeps no aggregates.
+func NewTrace(reg *Registry, name string) *Trace {
+	return newTrace(reg, NewTraceID(), SpanID{}, name)
 }
 
-// StartRequestTrace starts a trace for an incoming request carrying the
-// given traceparent header. A well-formed header joins the caller's
-// trace (same trace ID, the caller's span as remote parent); a missing
-// or malformed header starts a fresh trace — malformed tracing metadata
-// must never fail a request.
-func StartRequestTrace(name, traceparent string) *Trace {
+// StartRequestTrace starts a trace bound to reg (see NewTrace) for an
+// incoming request carrying the given traceparent header. A well-formed
+// header joins the caller's trace (same trace ID, the caller's span as
+// remote parent); a missing or malformed header starts a fresh trace —
+// malformed tracing metadata must never fail a request.
+func StartRequestTrace(reg *Registry, name, traceparent string) *Trace {
 	tid, parent, ok := ParseTraceparent(traceparent)
 	if !ok {
-		return NewTrace(name)
+		return NewTrace(reg, name)
 	}
-	return newTrace(tid, parent, name)
+	return newTrace(reg, tid, parent, name)
 }
 
-func newTrace(id TraceID, parent SpanID, name string) *Trace {
-	t := &Trace{id: id, parent: parent, name: name, start: time.Now()}
+func newTrace(reg *Registry, id TraceID, parent SpanID, name string) *Trace {
+	t := &Trace{id: id, parent: parent, name: name, start: time.Now(), reg: reg}
 	_, _ = cryptorand.Read(t.salt[:])
 	t.root = t.nextSpanID()
 	return t
@@ -463,8 +467,10 @@ func (s *TraceSpan) Annotate(msg string) {
 }
 
 // End finishes the span, appending its record to the trace (bounded;
-// overflow counts as dropped) and returning the duration. A second End
-// (or End on a nil span) is a no-op returning 0.
+// overflow counts as dropped), folding its duration into the bound
+// registry's aggregate for its name (unbounded: every End counts), and
+// returning the duration. A second End (or End on a nil span) is a no-op
+// returning 0.
 func (s *TraceSpan) End() time.Duration {
 	if s == nil || s.ended {
 		return 0
@@ -483,6 +489,7 @@ func (s *TraceSpan) End() time.Duration {
 		t.spans = append(t.spans, rec)
 	}
 	t.mu.Unlock()
+	t.reg.observeSpan(s.name, int64(d))
 	return d
 }
 

@@ -77,7 +77,7 @@ func TestStartRequestTraceMalformed(t *testing.T) {
 		wellFormedTraceparent + "-extra",
 	}
 	for _, h := range malformed {
-		tr := StartRequestTrace("req", h)
+		tr := StartRequestTrace(nil, "req", h)
 		if tr == nil {
 			t.Fatalf("StartRequestTrace(%q) = nil", h)
 		}
@@ -97,7 +97,7 @@ func TestStartRequestTraceMalformed(t *testing.T) {
 // caller's span retained as remote parent, and the response traceparent
 // carries the joined trace ID with a fresh local root span.
 func TestStartRequestTraceJoins(t *testing.T) {
-	tr := StartRequestTrace("req", wellFormedTraceparent)
+	tr := StartRequestTrace(nil, "req", wellFormedTraceparent)
 	if got := tr.TraceID().String(); got != "0af7651916cd43dd8448eb211c80319c" {
 		t.Fatalf("trace ID = %s, want the header's", got)
 	}
@@ -133,7 +133,7 @@ func TestFormatTraceparentRoundTrip(t *testing.T) {
 // the snapshot: synthetic root span, parenting, events, provenance,
 // attrs, and error status.
 func TestTraceSpansEventsPlans(t *testing.T) {
-	tr := NewTrace("req")
+	tr := NewTrace(nil, "req")
 	tr.SetAttr("query", "Q(x)")
 	sp := tr.StartSpan("order")
 	child := sp.StartSpan("refine")
@@ -188,7 +188,7 @@ func TestTraceSpansEventsPlans(t *testing.T) {
 // TestTraceBounds: overflowing any of the bounded buffers increments
 // Dropped instead of growing.
 func TestTraceBounds(t *testing.T) {
-	tr := NewTrace("req")
+	tr := NewTrace(nil, "req")
 	const extra = 5
 	for i := 0; i < DefaultMaxTraceSpans+extra; i++ {
 		tr.StartSpan("s").End()
@@ -217,7 +217,7 @@ func TestTraceBounds(t *testing.T) {
 // TestTraceFinishSeals: Finish fixes the duration; later Snapshot and
 // Finish calls keep the first measurement.
 func TestTraceFinishSeals(t *testing.T) {
-	tr := NewTrace("req")
+	tr := NewTrace(nil, "req")
 	first := tr.Finish()
 	time.Sleep(5 * time.Millisecond)
 	if again := tr.Finish(); again.DurNS != first.DurNS {
@@ -231,7 +231,7 @@ func TestTraceFinishSeals(t *testing.T) {
 // TestTraceSnapshotJSONRoundTrip: a snapshot survives the NDJSON export
 // format (what -trace-out writes and qptrace reads back).
 func TestTraceSnapshotJSONRoundTrip(t *testing.T) {
-	tr := StartRequestTrace("req", wellFormedTraceparent)
+	tr := StartRequestTrace(nil, "req", wellFormedTraceparent)
 	tr.SetAttr("algorithm", "streamer")
 	tr.StartSpan("order").End()
 	tr.EmitPlan(PlanProvenance{Index: 0, Algo: "streamer", Plan: "2|1", Utility: 1.5, DomWon: 2, DomLost: 1, Evals: 7})
@@ -263,7 +263,7 @@ func TestWithTraceContext(t *testing.T) {
 	if got := TraceFrom(context.Background()); got != nil {
 		t.Fatalf("TraceFrom(empty ctx) = %v, want nil", got)
 	}
-	tr := NewTrace("req")
+	tr := NewTrace(nil, "req")
 	ctx := WithTrace(context.Background(), tr)
 	if got := TraceFrom(ctx); got != tr {
 		t.Fatalf("TraceFrom = %v, want the stored trace", got)
@@ -337,7 +337,7 @@ func TestDisabledTraceAllocs(t *testing.T) {
 // -race this doubles as the data-race gate for the mediator's pipelined
 // producer recording into the request trace.
 func TestTraceConcurrency(t *testing.T) {
-	tr := StartRequestTrace("req", wellFormedTraceparent)
+	tr := StartRequestTrace(nil, "req", wellFormedTraceparent)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -61,7 +60,8 @@ type Config struct {
 	// (default 8).
 	MaxParallelism int
 	// Reg receives the server's counters and gauges alongside the
-	// mediator's; a fresh registry is created when nil.
+	// mediator's, and the span aggregates of every request trace; a
+	// fresh registry is created when nil.
 	Reg *obs.Registry
 	// FlightEntries sizes the flight recorder's recent-request ring
 	// (default 64); the slowest and errored classes each keep a quarter
@@ -180,7 +180,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/requests", s.handleRequests)
 	mux.HandleFunc("GET /debug/calibration", s.handleCalibration)
 	mux.HandleFunc("GET /debug/slo", s.handleSLO)
@@ -221,8 +220,7 @@ func buildStore(cat *lav.Catalog, seed int64) (execsim.DB, error) {
 // Handler returns the server's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the server's metrics registry (publishable with
-// expvar.Publish, since *obs.Registry satisfies expvar.Var).
+// Registry exposes the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // SetDraining flips the drain flag: while set, /healthz reports 503 and
@@ -502,7 +500,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // recorder, the structured log, and the NDJSON export.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
-	tr := obs.StartRequestTrace("POST /v1/query", r.Header.Get("traceparent"))
+	tr := obs.StartRequestTrace(s.reg, "POST /v1/query", r.Header.Get("traceparent"))
 	w.Header().Set("Traceparent", tr.Traceparent())
 	reqStart := time.Now()
 	var ttfaNS atomic.Int64 // offset of the first streamed answer; 0 until one streams

@@ -352,3 +352,78 @@ func TestLoadgenRecordsSlowest(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsSpansMatchRequestTraces: /metrics and /debug/requests time
+// each phase with the same TraceSpan.End, so for every span name the
+// registry's count and total_ns equal the sums over the retained traces
+// exactly.
+func TestMetricsSpansMatchRequestTraces(t *testing.T) {
+	_, ts := testServer(t, func(c *Config) { c.FlightEntries = 64 })
+	for i, req := range []queryRequest{
+		{Query: testQuery, K: 4},
+		{Query: "Q(X, Y) :- review-of(Y, X), play-in(B, X)", K: 2}, // cache hit
+		{Query: testQuery, K: 4, Algorithm: "idrips", Explain: true},
+		{Query: testQuery, K: 4, Parallelism: 2},
+		{Query: "not a query"}, // rejected after server/parse
+	} {
+		want := http.StatusOK
+		if i == 4 {
+			want = http.StatusBadRequest
+		}
+		if status, _ := post(t, ts.URL, req); status != want {
+			t.Fatalf("request %d: status %d, want %d", i, status, want)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/debug/requests?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flight obs.FlightSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&flight)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flight.Total != 5 || len(flight.Recent) != 5 {
+		t.Fatalf("flight recorder kept %d of %d requests, want 5", len(flight.Recent), flight.Total)
+	}
+	want := map[string]obs.SpanAgg{}
+	for _, tr := range flight.Recent {
+		if tr.Dropped != 0 {
+			t.Fatalf("trace %s dropped %d records", tr.TraceID, tr.Dropped)
+		}
+		for _, sp := range tr.Spans {
+			if sp.ID == tr.RootSpan {
+				continue // the synthetic root is not a timed span
+			}
+			a := want[sp.Name]
+			a.Count++
+			a.TotalNS += sp.DurNS
+			want[sp.Name] = a
+		}
+	}
+
+	snap, err := FetchSnapshot(context.Background(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]obs.SpanAgg{}
+	for _, a := range snap.Spans {
+		got[a.Name] = obs.SpanAgg{Count: a.Count, TotalNS: a.TotalNS}
+	}
+	if len(got) != len(want) {
+		t.Errorf("/metrics has %d span names, traces have %d:\n%+v\n%+v", len(got), len(want), got, want)
+	}
+	for name, w := range want {
+		if g := got[name]; g != w {
+			t.Errorf("span %s: /metrics count=%d total_ns=%d, traces count=%d total_ns=%d",
+				name, g.Count, g.TotalNS, w.Count, w.TotalNS)
+		}
+	}
+	for _, name := range []string{"server/parse", "server/run", "mediator/run", "mediator/order", "mediator/execute"} {
+		if got[name].Count == 0 {
+			t.Errorf("/metrics lists no %s spans", name)
+		}
+	}
+}

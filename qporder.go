@@ -126,10 +126,6 @@ type (
 	// ObsRegistry aggregates counters, gauges, histograms, and spans; a
 	// nil registry disables all instrumentation.
 	ObsRegistry = obs.Registry
-	// ObsTracer records phase spans into bounded aggregates.
-	ObsTracer = obs.Tracer
-	// ObsSpan is one timed (possibly nested) phase.
-	ObsSpan = obs.Span
 	// ObsCalibration accumulates estimate-vs-actual pairs into q-error,
 	// bias, and drift series; nil disables calibration entirely.
 	ObsCalibration = obs.Calibration
@@ -366,8 +362,6 @@ var (
 	NewCalibration = obs.NewCalibration
 	// RegisterRuntimeMetrics attaches Go runtime gauges to a registry.
 	RegisterRuntimeMetrics = obs.RegisterRuntimeMetrics
-	// StartSpan opens a span on a tracer (nil tracer: no-op span).
-	StartSpan = obs.StartSpan
 )
 
 // Execution simulation.

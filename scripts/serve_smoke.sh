@@ -8,7 +8,8 @@
 #      event, the /debug/requests flight recorder, and the -trace-out
 #      NDJSON export analyzed by qptrace (zero parse errors required),
 #   4. replay a concurrent shuffled burst through qpload (zero errors
-#      required) and check the session cache saw hits,
+#      required), check the session cache saw hits and that /metrics
+#      aggregates the server/* and mediator/* phase spans,
 #   5. scrape the OpenMetrics exposition (/metrics?format=openmetrics)
 #      and the estimator-calibration surface (/debug/calibration, text
 #      and JSON), failing on malformed output; the daemon also exports
@@ -177,6 +178,17 @@ HITS=$(curl -fsS "$URL/metrics?format=json" \
     | sed -n 's/.*"server\.cache_hits": *\([0-9][0-9]*\).*/\1/p')
 [ -n "$HITS" ] && [ "$HITS" -gt 0 ] || { echo "serve-smoke: FAIL: no session-cache hits (got '${HITS:-none}')"; exit 1; }
 echo "serve-smoke: session cache hits: $HITS"
+
+# Phase spans reach /metrics through the request traces' span ends.
+curl -fsS "$URL/metrics?format=json" > "$WORKDIR/metrics.json"
+for span in server/run mediator/order mediator/execute; do
+    grep -q "\"name\": \"$span\"" "$WORKDIR/metrics.json" || {
+        echo "serve-smoke: FAIL: /metrics has no $span span row:"
+        cat "$WORKDIR/metrics.json"
+        exit 1
+    }
+done
+echo "serve-smoke: /metrics aggregates the request-trace phase spans"
 
 echo "serve-smoke: scraping the OpenMetrics exposition"
 curl -fsS -D "$WORKDIR/om_headers.txt" "$URL/metrics?format=openmetrics" > "$WORKDIR/metrics.om"
