@@ -24,8 +24,7 @@ type Engine struct {
 	Caching bool
 	// OnAccess, when set, is invoked after every real source access (cache
 	// hits excluded) with the source name, the number of tuples returned,
-	// and the number of failed attempts before success — the feed for
-	// adaptive statistics tracking.
+	// and the number of failed attempts before success.
 	OnAccess func(source string, tuples, failedAttempts int)
 	// rng drives failure simulation; nil disables failures.
 	rng *rand.Rand
@@ -55,7 +54,8 @@ type Engine struct {
 
 	// calib, when set, receives one estimate-vs-actual observation per
 	// unconstrained source access: the catalog's Tuples statistic
-	// against the observed result size. Bound accesses are excluded —
+	// against the observed result size, with the access's failed
+	// attempts. Bound accesses and cache hits are excluded —
 	// their result size measures join selectivity, not source size, so
 	// pairing them against Tuples would poison the series (the pairing
 	// contract, DESIGN.md). Nil disables recording at zero cost.
@@ -81,7 +81,8 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 
 // SetCalibration binds an estimator-calibration accumulator: every
 // unconstrained source access records the Tuples estimate against the
-// observed result size. Nil detaches (the default, costing nothing).
+// observed result size and its failed attempts. Nil detaches (the
+// default, costing nothing).
 func (e *Engine) SetCalibration(c *obs.Calibration) { e.calib = c }
 
 // EnableFailures turns on failure simulation with the given seed; each
@@ -178,7 +179,7 @@ func (e *Engine) access(pos int, goal schema.Atom) []schema.Atom {
 	e.cSourceCalls.Inc()
 	e.cTuples.Add(int64(n))
 	if e.calib != nil && unbound {
-		e.calib.ObserveSource(goal.Pred, st.Tuples, float64(n))
+		e.calib.ObserveSource(goal.Pred, st.Tuples, float64(n), failed)
 	}
 	if e.Caching {
 		e.cache[key] = rows

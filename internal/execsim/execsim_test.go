@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"qporder/internal/lav"
+	"qporder/internal/obs"
 	"qporder/internal/reformulate"
 	"qporder/internal/schema"
 )
@@ -278,5 +279,64 @@ func TestExecutePlanRejectsUnknownSource(t *testing.T) {
 	eng := NewEngine(cat, make(DB))
 	if _, err := eng.ExecutePlan(schema.MustParseQuery("P(X) :- nosuch(X)")); err == nil {
 		t.Error("expected error for unknown source")
+	}
+}
+
+// TestCalibrationPairingContract: an unbound access records one
+// estimate/actual pair carrying its failed attempts; bound accesses and
+// cache hits record nothing.
+func TestCalibrationPairingContract(t *testing.T) {
+	cat := lav.NewCatalog()
+	cat.MustAdd("S", schema.MustParseQuery("S(X, Y) :- r(X, Y)"), lav.Stats{Tuples: 10, Overhead: 1, FailureProb: 0.8})
+	cat.MustAdd("T", schema.MustParseQuery("T(Y, Z) :- t(Y, Z)"), lav.Stats{Tuples: 10, Overhead: 1, FailureProb: 0.8})
+	store := make(DB)
+	store.Add("S", "a", "b")
+	store.Add("S", "c", "d")
+	store.Add("T", "b", "e")
+	store.Add("T", "d", "f")
+	cal := obs.NewCalibration(obs.CalibConfig{})
+	eng := NewEngine(cat, store)
+	eng.Caching = true
+	eng.EnableFailures(6)
+	eng.SetCalibration(cal)
+	var accesses []string
+	sFailed := 0
+	eng.OnAccess = func(source string, _, failed int) {
+		accesses = append(accesses, source)
+		if len(accesses) == 1 {
+			sFailed = failed
+		}
+	}
+
+	// S is accessed once unbound; T once per binding of Y.
+	join := schema.MustParseQuery("P(X, Z) :- S(X, Y), T(Y, Z)")
+	if _, err := eng.ExecutePlan(join); err != nil {
+		t.Fatal(err)
+	}
+	if len(accesses) != 3 || accesses[0] != "S" || sFailed == 0 {
+		t.Fatalf("accesses = %v, first S failed attempts = %d; want S, T, T with S failures to pair", accesses, sFailed)
+	}
+	// The rerun is served from the cache; the constant makes S bound.
+	if _, err := eng.ExecutePlan(join); err != nil {
+		t.Fatal(err)
+	}
+	if eng.CacheHits != 3 {
+		t.Fatalf("CacheHits = %d, want 3", eng.CacheHits)
+	}
+	if _, err := eng.ExecutePlan(schema.MustParseQuery("P(Y) :- S(a, Y)")); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := cal.Snapshot()
+	if len(snap.Sources) != 1 || snap.Sources[0].Name != "S" || snap.Sources[0].Samples != 1 {
+		t.Fatalf("source series = %+v, want one S sample", snap.Sources)
+	}
+	if s := snap.Sources[0]; s.EstMean != 10 || s.ActMean != 2 {
+		t.Errorf("S pair = (%g, %g), want (10, 2)", s.EstMean, s.ActMean)
+	}
+	mean, failRate, ok := cal.SourceObserved("S")
+	want := float64(sFailed) / float64(1+sFailed)
+	if !ok || mean != 2 || failRate != want {
+		t.Errorf("SourceObserved(S) = (%g, %g, %v), want (2, %g, true)", mean, failRate, ok, want)
 	}
 }

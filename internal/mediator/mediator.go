@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"qporder/internal/abstraction"
-	"qporder/internal/adaptive"
 	"qporder/internal/core"
 	"qporder/internal/execsim"
 	"qporder/internal/lav"
@@ -90,13 +89,15 @@ type Config struct {
 	// Deeper queues let ordering run further ahead of execution; plans
 	// pulled ahead of a budget stop are preserved for the next Run call.
 	PipelineDepth int
-	// Adaptive tracks the statistics observed during execution and, when a
-	// source's estimate has drifted by more than DriftFactor (default 2),
-	// re-estimates and re-orders the remaining plans (the execution-level
+	// Adaptive re-orders the remaining plans when the calibration the
+	// engine records into names a drifted source (the execution-level
 	// adaptation of Section 7's related work, fed back into
-	// reformulation-level ordering).
-	Adaptive    bool
-	DriftFactor float64
+	// reformulation-level ordering). Each newly drifted source's Tuples
+	// and FailureProb are replaced by their observed values. The
+	// calibration is Calib; when Calib is nil, New creates a private one
+	// that trips on a single unbound access off by more than 2x. Run
+	// binds it to the engine.
+	Adaptive bool
 	// ShardCount > 1 restricts ordering to one slice of the plan space:
 	// the plans whose deterministic enumeration position is congruent to
 	// ShardIndex mod ShardCount (core.NewPISharded). Only the PI
@@ -130,9 +131,15 @@ type Config struct {
 	// with the observed result size, and Run pairs each executed plan's
 	// predicted utility with its realized value (fresh answers for
 	// coverage-family measures, accrued cost for cost-family ones — see
-	// obs.PairPlanEstimate). Nil disables calibration at zero cost.
+	// obs.PairPlanEstimate). Its drift verdict drives Adaptive. Nil
+	// disables calibration at zero cost.
 	Calib *obs.Calibration
 }
+
+// adaptiveCalib configures the calibration New creates for an Adaptive
+// system without one: an unbound access returns the source's exact live
+// cardinality, so a single sample off by more than 2x is drift.
+var adaptiveCalib = obs.CalibConfig{DriftFactor: 2, MinSamples: 1}
 
 // Budget bounds a Run. Zero fields mean "unlimited".
 type Budget struct {
@@ -223,8 +230,9 @@ type System struct {
 	// Concurrent Run calls on one System are legal and queue up.
 	runMu sync.Mutex
 
-	// Adaptive state.
-	tracker  *adaptive.Tracker
+	// Adaptive state. revised holds the statistics adopted for each
+	// drifted source so far.
+	revised  map[lav.SourceID]lav.Stats
 	executed []*planspace.Plan
 	reorders int
 
@@ -400,10 +408,10 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, src: src, algo: algo, heur: heur, measName: m.Name()}
 	if cfg.Adaptive {
-		s.tracker = adaptive.NewTracker(cfg.Catalog)
-		if cfg.DriftFactor > 0 {
-			s.tracker.DriftFactor = cfg.DriftFactor
+		if s.cfg.Calib == nil {
+			s.cfg.Calib = obs.NewCalibration(adaptiveCalib)
 		}
+		s.revised = make(map[lav.SourceID]lav.Stats)
 	}
 	o, err := s.buildOrderer(m, src.spaces())
 	if err != nil {
@@ -436,23 +444,44 @@ func (s *System) buildOrderer(m measure.Measure, spaces []*planspace.Space) (cor
 	}
 }
 
+// reviseDrifted adds to revised the observed statistics of every source
+// of cat that cal reports drifted and revised does not hold yet: Tuples
+// becomes the observed mean (at least 1), FailureProb the observed
+// failure rate. It reports whether it added any.
+func reviseDrifted(cal *obs.Calibration, cat *lav.Catalog, revised map[lav.SourceID]lav.Stats) bool {
+	added := false
+	for _, name := range cal.Drifted() {
+		src, ok := cat.ByName(name)
+		if !ok {
+			continue
+		}
+		if _, done := revised[src.ID]; done {
+			continue
+		}
+		mean, failRate, _ := cal.SourceObserved(name)
+		st := src.Stats
+		st.Tuples = max(mean, 1)
+		st.FailureProb = failRate
+		revised[src.ID] = st
+		added = true
+	}
+	return added
+}
+
 // reorder rebuilds the ordering pipeline over the remaining plans with
-// statistics revised from execution observations. The executed prefix is
-// replayed into the fresh measure context so conditional utilities stay
-// correct.
+// the revised statistics. The executed prefix is replayed into the fresh
+// measure context so conditional utilities stay correct.
 func (s *System) reorder() error {
 	defer s.trace.StartSpan("mediator/reorder").End()
 	s.trace.Event("adaptive/reorder", "statistics drift triggered re-ordering")
-	revised, err := s.tracker.Revise()
-	if err != nil {
-		return err
-	}
-	s.tracker.Rebase(revised)
 	entries := s.src.entriesWithStats(func(orig *lav.Source) lav.Stats {
-		return revised.Source(orig.ID).Stats
+		if st, ok := s.revised[orig.ID]; ok {
+			return st
+		}
+		return orig.Stats
 	})
 	m := s.cfg.Measure(entries)
-	spaces := adaptive.RemainingSpaces(s.src.spaces(), s.executed)
+	spaces := remainingSpaces(s.src.spaces(), s.executed)
 	// A pipelined drain may have latched exhaustion from the old orderer
 	// running ahead; the rebuilt one re-derives every unexecuted plan.
 	s.exhausted = len(spaces) == 0
@@ -477,11 +506,32 @@ func (s *System) reorder() error {
 	core.SetTrace(o, s.trace)
 	s.orderer = o
 	s.next, s.drain = nil, nil
-	// RemainingSpaces re-derives every unexecuted plan, including the ones
+	// remainingSpaces re-derives every unexecuted plan, including the ones
 	// pulled ahead by the pipeline; keeping the stash would emit them twice.
 	s.stash = nil
 	s.reorders++
 	return nil
+}
+
+// remainingSpaces removes the executed plans from the initial spaces via
+// the plan-space splitting construction, yielding the spaces a rebuilt
+// orderer should run over. Executed plans not contained in any remaining
+// space are ignored (already split away).
+func remainingSpaces(initial []*planspace.Space, executed []*planspace.Plan) []*planspace.Space {
+	spaces := append([]*planspace.Space(nil), initial...)
+	for _, p := range executed {
+		srcs := p.Sources()
+		for i, s := range spaces {
+			if !s.Contains(srcs) {
+				continue
+			}
+			subs := s.Remove(srcs)
+			spaces = append(spaces[:i], spaces[i+1:]...)
+			spaces = append(spaces, subs...)
+			break
+		}
+	}
+	return spaces
 }
 
 // exhaustedOrderer is the empty orderer used when every plan has been
@@ -574,19 +624,6 @@ func (s *System) RunContext(ctx context.Context, engine *execsim.Engine, budget 
 		}
 	}()
 
-	if s.tracker != nil {
-		prev := engine.OnAccess
-		engine.OnAccess = func(source string, tuples, failed int) {
-			if src, ok := s.cfg.Catalog.ByName(source); ok {
-				s.tracker.Record(src.ID, tuples, failed)
-			}
-			if prev != nil {
-				prev(source, tuples, failed)
-			}
-		}
-		defer func() { engine.OnAccess = prev }()
-	}
-
 	runStart := time.Now()
 	firstAnswerAt := time.Duration(-1)
 	for {
@@ -665,7 +702,7 @@ func (s *System) RunContext(ctx context.Context, engine *execsim.Engine, budget 
 			res.Stopped = StopMinAnswers
 			break
 		}
-		if s.tracker != nil && len(s.tracker.Drifted()) > 0 {
+		if s.cfg.Adaptive && reviseDrifted(s.cfg.Calib, s.cfg.Catalog, s.revised) {
 			if s.drain != nil {
 				s.drain() // quiesce the old pipeline before replacing it
 			}

@@ -45,8 +45,7 @@ const (
 	// before the drift detector may trip (a single outlier is not drift).
 	DefaultCalibMinSamples = 3
 	// calibClamp is the floor substituted for non-positive estimates or
-	// actuals before forming ratios, mirroring the adaptive tracker's
-	// zero-observation clamp.
+	// actuals before forming ratios.
 	calibClamp = 0.5
 )
 
@@ -87,6 +86,10 @@ type calibSeries struct {
 	ewma      float64 // EWMA of log2(est/act)
 	seeded    bool
 	tripped   bool // latches once drift is detected
+
+	// failures counts the failed attempts before the sampled accesses
+	// (source series only): samples+failures attempts in all.
+	failures int64
 
 	qerr Histogram // milli-q-error: 1000 * max(est/act, act/est)
 
@@ -159,8 +162,8 @@ func (c *Calibration) observe(s *calibSeries, est, act float64) {
 
 // ObserveSource records one source-statistic observation: the estimate
 // the catalog carried (e.g. Stats.Tuples) against the actual observed
-// during execution.
-func (c *Calibration) ObserveSource(source string, est, act float64) {
+// during execution, and the failed attempts before the access succeeded.
+func (c *Calibration) ObserveSource(source string, est, act float64, failed int) {
 	if c == nil {
 		return
 	}
@@ -171,7 +174,24 @@ func (c *Calibration) ObserveSource(source string, est, act float64) {
 		c.sources[source] = s
 	}
 	c.observe(s, est, act)
+	s.failures += int64(failed)
 	c.mu.Unlock()
+}
+
+// SourceObserved returns a source series' mean actual and the share of
+// its access attempts that failed; ok is false when the source has no
+// samples.
+func (c *Calibration) SourceObserved(source string) (meanAct, failureRate float64, ok bool) {
+	if c == nil {
+		return 0, 0, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.sources[source]
+	if s == nil {
+		return 0, 0, false
+	}
+	return s.actSum / float64(s.samples), float64(s.failures) / float64(s.samples+s.failures), true
 }
 
 // ObservePlan records one executed plan under the given series key

@@ -29,7 +29,7 @@ func TestQError(t *testing.T) {
 func TestCalibrationPerfectEstimatesStayQuiet(t *testing.T) {
 	c := NewCalibration(CalibConfig{})
 	for i := 0; i < 10; i++ {
-		c.ObserveSource("V0", 80, 80)
+		c.ObserveSource("V0", 80, 80, 0)
 	}
 	snap := c.Snapshot()
 	if len(snap.Sources) != 1 {
@@ -57,18 +57,18 @@ func TestCalibrationDriftTripsAfterMinSamples(t *testing.T) {
 	c := NewCalibration(CalibConfig{}) // threshold log2(4) = 2, min 3
 	// 16x stale: log2 ratio = 4 > 2 from the first (seeded) sample, but
 	// the detector must hold until MinSamples.
-	c.ObserveSource("V0", 160, 10)
-	c.ObserveSource("V0", 160, 10)
+	c.ObserveSource("V0", 160, 10, 0)
+	c.ObserveSource("V0", 160, 10, 0)
 	if got := c.Drifted(); len(got) != 0 {
 		t.Fatalf("tripped after 2 samples (min 3): %v", got)
 	}
-	c.ObserveSource("V0", 160, 10)
+	c.ObserveSource("V0", 160, 10, 0)
 	if got := c.Drifted(); len(got) != 1 || got[0] != "V0" {
 		t.Fatalf("Drifted() = %v, want [V0]", got)
 	}
 	// The trip latches even if later estimates look fine.
 	for i := 0; i < 50; i++ {
-		c.ObserveSource("V0", 10, 10)
+		c.ObserveSource("V0", 10, 10, 0)
 	}
 	if got := c.Drifted(); len(got) != 1 {
 		t.Fatalf("trip did not latch: %v", got)
@@ -85,11 +85,11 @@ func TestCalibrationDriftTripsAfterMinSamples(t *testing.T) {
 
 func TestCalibrationEWMASeedAndDecay(t *testing.T) {
 	c := NewCalibration(CalibConfig{Alpha: 0.5, DriftFactor: 1e9})
-	c.ObserveSource("V", 8, 2) // seeds at log2(4) = 2
+	c.ObserveSource("V", 8, 2, 0) // seeds at log2(4) = 2
 	if got := c.Snapshot().Sources[0].EWMA; math.Abs(got-2) > 1e-12 {
 		t.Fatalf("seed EWMA = %g, want 2", got)
 	}
-	c.ObserveSource("V", 2, 2) // 0.5*0 + 0.5*2 = 1
+	c.ObserveSource("V", 2, 2, 0) // 0.5*0 + 0.5*2 = 1
 	if got := c.Snapshot().Sources[0].EWMA; math.Abs(got-1) > 1e-12 {
 		t.Fatalf("EWMA after decay = %g, want 1", got)
 	}
@@ -97,10 +97,26 @@ func TestCalibrationEWMASeedAndDecay(t *testing.T) {
 
 func TestCalibrationClampsNonPositive(t *testing.T) {
 	c := NewCalibration(CalibConfig{})
-	c.ObserveSource("V", 1, 0) // act clamped to 0.5 -> qerr 2
+	c.ObserveSource("V", 1, 0, 0) // act clamped to 0.5 -> qerr 2
 	s := c.Snapshot().Sources[0]
 	if math.Abs(s.QErrMax-2) > 0.01 {
 		t.Fatalf("clamped q-error = %g, want 2", s.QErrMax)
+	}
+}
+
+func TestCalibrationSourceObserved(t *testing.T) {
+	c := NewCalibration(CalibConfig{})
+	c.ObserveSource("A", 100, 90, 1)
+	c.ObserveSource("A", 100, 110, 0)
+	mean, failRate, ok := c.SourceObserved("A")
+	if !ok || mean != 100 || math.Abs(failRate-1.0/3) > 1e-12 {
+		t.Errorf("SourceObserved(A) = (%g, %g, %v), want (100, 1/3, true)", mean, failRate, ok)
+	}
+	if _, _, ok := c.SourceObserved("B"); ok {
+		t.Error("unobserved source reported ok")
+	}
+	if _, _, ok := (*Calibration)(nil).SourceObserved("A"); ok {
+		t.Error("nil calibration reported ok")
 	}
 }
 
@@ -140,8 +156,8 @@ func TestCalibrationPlanSeries(t *testing.T) {
 
 func TestCalibrationSnapshotSortedAndReset(t *testing.T) {
 	c := NewCalibration(CalibConfig{})
-	c.ObserveSource("Vb", 1, 1)
-	c.ObserveSource("Va", 1, 1)
+	c.ObserveSource("Vb", 1, 1, 0)
+	c.ObserveSource("Va", 1, 1, 0)
 	c.ObservePlan("z", 1, 1, 0, 0, 0)
 	c.ObservePlan("a", 1, 1, 0, 0, 0)
 	snap := c.Snapshot()
@@ -162,7 +178,7 @@ func TestCalibrationSnapshotSortedAndReset(t *testing.T) {
 func TestCalibrationWriteTextMarksDrift(t *testing.T) {
 	c := NewCalibration(CalibConfig{})
 	for i := 0; i < 3; i++ {
-		c.ObserveSource("Vstale", 160, 10)
+		c.ObserveSource("Vstale", 160, 10, 0)
 	}
 	var buf bytes.Buffer
 	if err := c.Snapshot().WriteText(&buf); err != nil {
@@ -190,7 +206,7 @@ func TestDisabledCalibrationAllocs(t *testing.T) {
 	}
 	var c *Calibration
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.ObserveSource("V", 10, 10)
+		c.ObserveSource("V", 10, 10, 0)
 		c.ObservePlan("k", 1, 1, 1, 1, time.Millisecond)
 		_ = c.Drifted()
 		_ = c.Snapshot()
@@ -209,7 +225,7 @@ func TestCalibrationConcurrent(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("V%d", g%4)
 			for i := 0; i < 500; i++ {
-				c.ObserveSource(name, 10, 10)
+				c.ObserveSource(name, 10, 10, 0)
 				c.ObservePlan("m/a", 5, 4, 1, 1, time.Microsecond)
 				if i%100 == 0 {
 					_ = c.Snapshot()
@@ -251,7 +267,7 @@ func TestRegistryConcurrentCollectorsAndCalibration(t *testing.T) {
 				switch i % 50 {
 				case 0:
 					r.AttachCalibration(cal)
-					cal.ObserveSource("V", 1, 1)
+					cal.ObserveSource("V", 1, 1, 0)
 				case 25:
 					r.AddCollector(func() { r.Gauge("collected").Set(1) })
 				}
@@ -277,7 +293,7 @@ func TestRegistryConcurrentCollectorsAndCalibration(t *testing.T) {
 func TestRegistrySnapshotCarriesCalibration(t *testing.T) {
 	r := NewRegistry()
 	cal := NewCalibration(CalibConfig{})
-	cal.ObserveSource("V0", 10, 20)
+	cal.ObserveSource("V0", 10, 20, 0)
 	r.AttachCalibration(cal)
 	if r.Calibration() != cal {
 		t.Fatal("Calibration() did not return the attached accumulator")
@@ -309,7 +325,7 @@ func TestReadExportsMixedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := NewCalibration(CalibConfig{})
-	cal.ObserveSource("V0", 10, 10)
+	cal.ObserveSource("V0", 10, 10, 0)
 	calLine, err := json.Marshal(CalibrationRecord{TraceID: "t1", Calibration: cal.Snapshot()})
 	if err != nil {
 		t.Fatal(err)

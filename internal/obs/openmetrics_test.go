@@ -179,7 +179,7 @@ func TestWriteOpenMetricsGrammar(t *testing.T) {
 	RegisterRuntimeMetrics(r)
 	cal := NewCalibration(CalibConfig{})
 	for i := 0; i < 3; i++ {
-		cal.ObserveSource("V0_1", 160, 10)
+		cal.ObserveSource("V0_1", 160, 10, 0)
 		cal.ObservePlan(`chain/streamer "q"`, 100, 90, 5, 10, time.Millisecond)
 	}
 	r.AttachCalibration(cal)

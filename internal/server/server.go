@@ -633,9 +633,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), sess.deadline)
 	defer cancel()
 	ctx = obs.WithTrace(ctx, tr)
-	runSpan := tr.StartSpan("server/run")
 	res, err := sys.RunContext(ctx, eng, mediator.Budget{MaxPlans: sess.k})
-	runSpan.End()
 	// The spans trailer rides after done (or after a mid-stream error):
 	// everything past the last data line is observability metadata, so
 	// plain clients' event dispatch skips it while a stitching router

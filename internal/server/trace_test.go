@@ -421,7 +421,7 @@ func TestMetricsSpansMatchRequestTraces(t *testing.T) {
 				name, g.Count, g.TotalNS, w.Count, w.TotalNS)
 		}
 	}
-	for _, name := range []string{"server/parse", "server/run", "mediator/run", "mediator/order", "mediator/execute"} {
+	for _, name := range []string{"server/parse", "mediator/run", "mediator/order", "mediator/execute"} {
 		if got[name].Count == 0 {
 			t.Errorf("/metrics lists no %s spans", name)
 		}

@@ -32,7 +32,6 @@ package qporder
 
 import (
 	"qporder/internal/abstraction"
-	"qporder/internal/adaptive"
 	"qporder/internal/bitset"
 	"qporder/internal/containment"
 	"qporder/internal/core"
@@ -229,22 +228,6 @@ const (
 
 // NewMediator reformulates the query and builds the full pipeline.
 var NewMediator = mediator.New
-
-// Adaptive execution: statistics tracking and drift-triggered
-// re-estimation (see MediatorConfig.Adaptive for the integrated form).
-type (
-	// AdaptiveTracker accumulates observed source statistics.
-	AdaptiveTracker = adaptive.Tracker
-	// AdaptiveObservation is one source's accumulated observations.
-	AdaptiveObservation = adaptive.Observation
-)
-
-var (
-	// NewAdaptiveTracker returns a tracker over a catalog's estimates.
-	NewAdaptiveTracker = adaptive.NewTracker
-	// RemainingSpaces removes executed plans from spaces by splitting.
-	RemainingSpaces = adaptive.RemainingSpaces
-)
 
 // Parsing.
 var (

@@ -213,11 +213,13 @@ func TestFacadeMediatorAndOptimizer(t *testing.T) {
 			t.Errorf("program answer %v missing from mediator answers", a)
 		}
 	}
-	// Adaptive tracker standalone.
-	tr := qporder.NewAdaptiveTracker(cat)
-	tr.Record(0, 500, 1)
-	if len(tr.Drifted()) == 0 {
-		t.Error("drift not detected")
+	// Drift detection standalone: one unbound access returning 50x the
+	// estimate trips a single-sample detector.
+	cal := qporder.NewCalibration(qporder.ObsCalibConfig{DriftFactor: 2, MinSamples: 1})
+	cal.ObserveSource("V1", 60, 3000, 1)
+	cal.ObserveSource("V4", 150, 140, 0)
+	if got := cal.Drifted(); len(got) != 1 || got[0] != "V1" {
+		t.Errorf("Drifted() = %v, want [V1]", got)
 	}
 }
 

@@ -181,7 +181,7 @@ echo "serve-smoke: session cache hits: $HITS"
 
 # Phase spans reach /metrics through the request traces' span ends.
 curl -fsS "$URL/metrics?format=json" > "$WORKDIR/metrics.json"
-for span in server/run mediator/order mediator/execute; do
+for span in mediator/run mediator/order mediator/execute; do
     grep -q "\"name\": \"$span\"" "$WORKDIR/metrics.json" || {
         echo "serve-smoke: FAIL: /metrics has no $span span row:"
         cat "$WORKDIR/metrics.json"
