@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 30s
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build vet test race bench bench-json bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke perfbench-test perfbench-smoke perfbench-pair clean
+.PHONY: all build vet test race bench bench-json bench-check bench-store check fmtcheck lint-metrics experiments fuzz serve-smoke fleet-smoke store-smoke perfbench-test perfbench-smoke perfbench-pair workcount-parity clean
 
 all: build vet test
 
@@ -87,6 +87,7 @@ experiments:
 fuzz:
 	$(GO) test -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/schema
 	$(GO) test -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/schema
+	$(GO) test -fuzz FuzzAtomOrder -fuzztime $(FUZZTIME) ./internal/schema
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/domfile
 	$(GO) test -fuzz FuzzKernels -fuzztime $(FUZZTIME) ./internal/bitset
 	$(GO) test -fuzz FuzzPlanKeyOrder -fuzztime $(FUZZTIME) ./internal/planspace
@@ -140,6 +141,14 @@ perfbench-smoke:
 perfbench-pair:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" -a -n "$(PAIRS)" || { echo "usage: make perfbench-pair BASE=<ref> WORKLOAD=order|mediate|serve PAIRS=<n>"; exit 2; }
 	bash scripts/perfbench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS)
+
+# workcount-parity fails unless the working tree does exactly the work of
+# BASE and emits byte-identical streams on perfbench's order and mediate
+# sessions, counted by cmd/qpworkcount at both revisions. See
+# scripts/workcount_parity.sh.
+workcount-parity:
+	@test -n "$(BASE)" || { echo "usage: make workcount-parity BASE=<ref>"; exit 2; }
+	bash scripts/workcount_parity.sh $(BASE)
 
 clean:
 	rm -rf internal/schema/testdata internal/domfile/testdata

@@ -1,22 +1,32 @@
-// Command qpworkcount replays a fixed number of the order sessions that
-// perfbench's order workload runs and prints, per seed, the work they
-// did: measure evaluations, dominance tests and refinements, summed
-// over the sessions, and an FNV-1a digest of every emitted (plan key,
-// utility). Two revisions that print the same lines emitted the same
-// plan streams with the same work, whatever their speed; perfbench's
-// traced run cannot show that, because it replays as many sessions as
-// the build completed in the first third of its timed run.
+// Command qpworkcount replays a fixed number of the sessions that one of
+// perfbench's workloads runs and prints, per seed, the work they did and
+// a digest of what they emitted. Two revisions that print the same lines
+// emitted the same streams with the same work, whatever their speed;
+// perfbench's traced run cannot show that, because it replays as many
+// sessions as the build completed in the first third of its timed run.
 //
 // Usage:
 //
-//	qpworkcount -seeds 1,7 -sessions 1024
+//	qpworkcount -workload order -seeds 1,7 -sessions 1024
+//	qpworkcount -workload mediate -seeds 1,7 -sessions 1024
 //
-// The sessions are perfbench's: 256 domains generated from the seed,
-// kinds coverage × {Streamer, iDrips, PI} and chain-fail-caching ×
-// iDrips taken round-robin, a fresh plan space per session, the first
-// 10 plans. perfbench's warm-up is left out; it fills only the coverage
-// overlap cache. To count another revision, copy this directory into a
-// checkout of it (git archive REV | tar -x -C DIR) and run it there.
+// The order sessions (the default) are perfbench's order workload: 256
+// domains generated from the seed, kinds coverage × {Streamer, iDrips,
+// PI} and chain-fail-caching × iDrips taken round-robin, a fresh plan
+// space per session, the first 10 plans. Each line sums measure
+// evaluations, dominance tests and refinements, and digests every
+// emitted (plan key, utility). perfbench's warm-up is left out; it fills
+// only the coverage overlap cache.
+//
+// The mediate sessions are perfbench's mediate workload: 256 generated
+// catalogs with their worlds and source contents, its four kinds taken
+// round-robin, 5 executed plans each. Each line sums the engines'
+// accesses, cache hits, failed attempts and cost, and digests every
+// executed plan's key and its new answers, rendered in emitted order.
+//
+// To count another revision, copy this directory into a checkout of it
+// (git archive REV | tar -x -C DIR) and run it there;
+// scripts/workcount_parity.sh does both and compares.
 package main
 
 import (
@@ -59,14 +69,30 @@ type counts struct {
 }
 
 func main() {
+	workload := flag.String("workload", "order", "perfbench workload to replay: order or mediate")
 	seeds := flag.String("seeds", "1,7", "comma-separated perfbench seeds")
 	sessions := flag.Int("sessions", 1024, "sessions replayed per seed")
 	flag.Parse()
+	if *workload != "order" && *workload != "mediate" {
+		fmt.Fprintf(os.Stderr, "qpworkcount: unknown workload %q (want order or mediate)\n", *workload)
+		os.Exit(2)
+	}
 	for _, f := range strings.Split(*seeds, ",") {
 		seed, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qpworkcount: bad seed:", err)
 			os.Exit(2)
+		}
+		if *workload == "mediate" {
+			m, err := replayMediate(seed, *sessions)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "qpworkcount:", err)
+				os.Exit(1)
+			}
+			fmt.Printf("workload=mediate seed=%d sessions=%d accesses=%d cache_hits=%d failed_attempts=%d cost=%s stream_digest=%016x\n",
+				seed, m.sessions, m.accesses, m.cacheHits, m.failedAttempts,
+				strconv.FormatFloat(m.cost, 'g', -1, 64), m.digest)
+			continue
 		}
 		c, err := replay(seed, *sessions)
 		if err != nil {

@@ -21,3 +21,22 @@ func TestReplayDeterministic(t *testing.T) {
 		t.Fatalf("replay did no work: %+v", a)
 	}
 }
+
+// TestReplayMediateDeterministic is the same property for mediate
+// sessions: equal accounting and equal answer streams on every replay.
+func TestReplayMediateDeterministic(t *testing.T) {
+	a, err := replayMediate(3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := replayMediate(3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatalf("replays differ: %+v vs %+v", a, b)
+	}
+	if a.sessions != 8 || a.accesses == 0 || a.cacheHits == 0 || a.cost == 0 {
+		t.Fatalf("replay did no work: %+v", a)
+	}
+}

@@ -1,6 +1,7 @@
 package execsim
 
 import (
+	"fmt"
 	"testing"
 
 	"qporder/internal/lav"
@@ -83,5 +84,42 @@ func TestExtendAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Fatalf("extend allocates %.1f allocs/run, want 0", got)
+	}
+}
+
+// TestExecuteAllocsPerPlan gates the answer path: re-running a plan on
+// a warmed engine allocates a small constant per plan (the compiled
+// program, the sorted result slice, an occasional slab chunk), whatever
+// the number of answers. A clone per answer and a rendered sort key
+// per answer would cost two allocations per answer.
+func TestExecuteAllocsPerPlan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	allocs := func(answers int) float64 {
+		cat := lav.NewCatalog()
+		cat.MustAdd("S", schema.MustParseQuery("S(X, Y) :- r(X, Y)"), lav.Stats{Tuples: float64(answers), TransmitCost: 1, Overhead: 1})
+		store := make(DB)
+		for i := 0; i < answers; i++ {
+			store.Add("S", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i%7))
+		}
+		eng := NewEngine(cat, store)
+		plan := schema.MustParseQuery("P(Y, X) :- S(X, Y)")
+		run := func() {
+			got, err := eng.ExecutePlan(plan)
+			if err != nil || len(got) != answers {
+				t.Fatalf("ExecutePlan returned %d answers (%v), want %d", len(got), err, answers)
+			}
+		}
+		run() // warm: index, slab and sort scratch
+		return testing.AllocsPerRun(20, run)
+	}
+	small, large := allocs(128), allocs(1024)
+	t.Logf("allocs per plan: %.1f with 128 answers, %.1f with 1024", small, large)
+	if small > 32 {
+		t.Fatalf("a plan with 128 answers allocates %.1f times, want at most 32", small)
+	}
+	if large > small+4 {
+		t.Fatalf("allocations grow with answers: %.1f with 128, %.1f with 1024", small, large)
 	}
 }

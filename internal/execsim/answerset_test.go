@@ -98,3 +98,29 @@ func TestAnswerSetAddAllocs(t *testing.T) {
 		t.Fatalf("Contains allocates %.1f allocs/run, want 0", got)
 	}
 }
+
+// TestAnswersSurviveReset checks the slab's ownership rule: the atoms a
+// plan's execution returned stay intact while the engine's reused set
+// is reset and refilled by later plans, and appending to one answer's
+// arguments cannot overwrite another's.
+func TestAnswersSurviveReset(t *testing.T) {
+	s := NewAnswerSet()
+	var kept []schema.Atom
+	var want []string
+	for plan := 0; plan < 40; plan++ {
+		s.reset()
+		for i := 0; i < 7; i++ {
+			s.put(groundAtom("P", fmt.Sprintf("p%d", plan), fmt.Sprintf("a%d", i)))
+		}
+		for _, a := range s.sorted() {
+			kept = append(kept, a)
+			want = append(want, a.String())
+		}
+	}
+	_ = append(kept[0].Args, schema.Const("appended"))
+	for i, a := range kept {
+		if got := a.String(); got != want[i] {
+			t.Fatalf("answer %d reads %s after later plans, want %s", i, got, want[i])
+		}
+	}
+}

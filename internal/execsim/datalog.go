@@ -92,9 +92,9 @@ func EvalProgram(rules []*schema.Query, edb DB) (DB, error) {
 	}
 
 	out := make(DB)
+	var order schema.AtomSorter
 	for pred := range idb {
-		out[pred] = append([]schema.Atom(nil), facts[pred]...)
-		sortAtoms(out[pred])
+		out[pred] = order.AppendSorted(nil, facts[pred])
 	}
 	return out, nil
 }

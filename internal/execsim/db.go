@@ -10,8 +10,6 @@ package execsim
 import (
 	"fmt"
 	"hash/maphash"
-	"sort"
-	"strings"
 
 	"qporder/internal/schema"
 )
@@ -58,22 +56,6 @@ func Eval(q *schema.Query, db DB) []schema.Atom {
 	return out.sorted()
 }
 
-// sortAtoms orders atoms lexicographically by their rendering for
-// deterministic output, rendering each atom once.
-func sortAtoms(as []schema.Atom) {
-	keyed := make([]struct {
-		key  string
-		atom schema.Atom
-	}, len(as))
-	for i, a := range as {
-		keyed[i].key, keyed[i].atom = a.String(), a
-	}
-	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
-	for i := range keyed {
-		as[i] = keyed[i].atom
-	}
-}
-
 // atomKeyArity is the widest atom keyed without allocating: the key
 // inlines up to this many arguments in a comparable array. Source atoms
 // in the experiment domains are binary, so the inline path covers every
@@ -111,7 +93,20 @@ type AnswerSet struct {
 	seed  maphash.Seed
 	index map[uint64]int32 // probe key → position in atoms; see find
 	atoms []schema.Atom
+	// slab holds the arguments of the answers put copies: its used
+	// prefix belongs to atoms already handed out, so a full chunk is
+	// replaced, never reused, even across reset.
+	slab  []schema.Term
+	order schema.AtomSorter // scratch for sorted
 }
+
+// Slab chunks grow by doubling from slabMin to slabMax terms, so the
+// many small sets Eval builds stay small while an engine's reused set
+// soon allocates once per slabMax new answer arguments.
+const (
+	slabMin = 16
+	slabMax = 1024
+)
 
 // NewAnswerSet returns an empty accumulator.
 func NewAnswerSet() *AnswerSet {
@@ -131,13 +126,25 @@ func (s *AnswerSet) Add(atoms []schema.Atom) int {
 }
 
 // put inserts a copy of a, whose arguments may be scratch space, and
-// reports whether it was new. A duplicate costs no allocation.
+// reports whether it was new. A duplicate costs no allocation; a new
+// answer's arguments are copied into the slab.
 func (s *AnswerSet) put(a schema.Atom) bool {
 	key, held := s.find(a)
 	if !held {
-		s.insert(key, a.Clone())
+		s.insert(key, schema.Atom{Pred: a.Pred, Args: s.hold(a.Args)})
 	}
 	return !held
+}
+
+// hold copies args into the slab. The copy's capacity ends at its
+// length, so appending to it cannot reach another answer's arguments.
+func (s *AnswerSet) hold(args []schema.Term) []schema.Term {
+	if cap(s.slab)-len(s.slab) < len(args) {
+		s.slab = make([]schema.Term, 0, max(min(2*cap(s.slab), slabMax), slabMin, len(args)))
+	}
+	k := len(s.slab)
+	s.slab = append(s.slab, args...)
+	return s.slab[k:len(s.slab):len(s.slab)]
 }
 
 // insert holds a under key, a free key find returned for it.
@@ -172,7 +179,8 @@ func (s *AnswerSet) find(a schema.Atom) (uint64, bool) {
 	}
 }
 
-// reset empties the set for reuse; atoms already put stay valid.
+// reset empties the set for reuse; atoms already put stay valid, their
+// arguments untouched in the slab.
 func (s *AnswerSet) reset() {
 	clear(s.index)
 	s.atoms = s.atoms[:0]
@@ -183,9 +191,7 @@ func (s *AnswerSet) sorted() []schema.Atom {
 	if len(s.atoms) == 0 {
 		return nil
 	}
-	out := append([]schema.Atom(nil), s.atoms...)
-	sortAtoms(out)
-	return out
+	return s.order.AppendSorted(make([]schema.Atom, 0, len(s.atoms)), s.atoms)
 }
 
 // Len returns the number of distinct answers.
@@ -202,12 +208,10 @@ func (s *AnswerSet) Contains(a schema.Atom) bool {
 
 // String renders the answers, sorted, one per line.
 func (s *AnswerSet) String() string {
-	cp := append([]schema.Atom(nil), s.atoms...)
-	sortAtoms(cp)
-	var b strings.Builder
-	for _, a := range cp {
-		b.WriteString(a.String())
-		b.WriteByte('\n')
+	var order schema.AtomSorter
+	var b []byte
+	for _, a := range order.AppendSorted(nil, s.atoms) {
+		b = append(a.AppendTo(b), '\n')
 	}
-	return b.String()
+	return string(b)
 }

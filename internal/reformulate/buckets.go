@@ -7,6 +7,7 @@ package reformulate
 
 import (
 	"fmt"
+	"strconv"
 
 	"qporder/internal/containment"
 	"qporder/internal/lav"
@@ -45,18 +46,21 @@ func BuildBuckets(q *schema.Query, cat *lav.Catalog) (*Buckets, error) {
 	}
 	b := &Buckets{Query: q, Entries: make([][]Entry, len(q.Body))}
 	for gi, goal := range q.Body {
+		needed := neededVars(q, goal)
 		for _, src := range cat.Sources() {
-			if src.Def == nil {
+			// Only a body atom over the subgoal's relation can unify
+			// with it, so a source without one is passed over unrenamed.
+			if src.Def == nil || !hasRelation(src.Def, goal) {
 				continue
 			}
-			def := src.Def.Rename(fmt.Sprintf("_v%d_%d", src.ID, gi))
+			def := src.Def.Rename(renameSuffix("_v", int(src.ID), gi))
 			existential := def.ExistentialVars()
 			for _, atom := range def.Body {
 				sub, ok := schema.UnifyAtoms(atom, goal, schema.Subst{})
 				if !ok {
 					continue
 				}
-				if !headVarsPreserved(q, goal, sub, existential) {
+				if !headVarsPreserved(needed, sub, existential) {
 					continue
 				}
 				// Plan atoms reference the source by catalog name, so the
@@ -80,14 +84,29 @@ func BuildBuckets(q *schema.Query, cat *lav.Catalog) (*Buckets, error) {
 	return b, nil
 }
 
+// hasRelation reports whether a body atom of def has goal's predicate
+// and arity, which UnifyAtoms requires before it compares any argument.
+func hasRelation(def *schema.Query, goal schema.Atom) bool {
+	for _, a := range def.Body {
+		if a.Pred == goal.Pred && len(a.Args) == len(goal.Args) {
+			return true
+		}
+	}
+	return false
+}
+
+// renameSuffix builds the variable suffix prefix+"<id>_<goal>" that
+// keeps one (source, subgoal) renaming disjoint from every other.
+func renameSuffix(prefix string, id, goal int) string {
+	return prefix + strconv.Itoa(id) + "_" + strconv.Itoa(goal)
+}
+
 // headVarsPreserved checks the bucket algorithm's pruning condition: a
 // query variable of the subgoal that the query needs outside this atom
-// (it is distinguished, or joins with other subgoals) must not be mapped
-// to an existential variable of the view, since the source then cannot
-// return its value.
-func headVarsPreserved(q *schema.Query, goal schema.Atom, sub schema.Subst,
-	viewExistential []schema.Term) bool {
-	needed := neededVars(q, goal)
+// (needed: it is distinguished, or joins with other subgoals) must not
+// be mapped to an existential variable of the view, since the source
+// then cannot return its value.
+func headVarsPreserved(needed []schema.Term, sub schema.Subst, viewExistential []schema.Term) bool {
 	// Unification binds view variables to query terms, so an existential
 	// view variable standing for a needed query variable shows up as
 	// y(view) → x(query); the reverse direction guards against chains.

@@ -61,10 +61,15 @@ func BuildMCDs(q *schema.Query, cat *lav.Catalog) (*GeneralizedBuckets, error) {
 			continue
 		}
 		for gi := range q.Body {
+			// An MCD anchored at gi starts from a unifier with it, which
+			// needs a body atom over gi's relation.
+			if !hasRelation(src.Def, q.Body[gi]) {
+				continue
+			}
 			// Rename per (source, anchor subgoal) so a source covering
 			// several disjoint parts of one plan contributes disjoint
 			// fresh variables.
-			def := src.Def.Rename(fmt.Sprintf("_m%d_%d", src.ID, gi))
+			def := src.Def.Rename(renameSuffix("_m", int(src.ID), gi))
 			for _, atom := range def.Body {
 				sub, ok := schema.UnifyAtoms(atom, q.Body[gi], schema.Subst{})
 				if !ok {

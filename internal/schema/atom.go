@@ -1,6 +1,10 @@
 package schema
 
-import "strings"
+import (
+	"bytes"
+	"cmp"
+	"slices"
+)
 
 // Atom is a predicate applied to terms, e.g. play-in(ford, M). It serves
 // both as a query subgoal and as a tuple pattern over a relation.
@@ -59,20 +63,54 @@ func containsTerm(ts []Term, t Term) bool {
 
 // String renders "pred(a, B, c)".
 func (a Atom) String() string {
-	var b strings.Builder
-	n := len(a.Pred) + 2
-	for _, t := range a.Args {
-		n += len(t.Name) + 2
-	}
-	b.Grow(n)
-	b.WriteString(a.Pred)
-	b.WriteByte('(')
+	var buf [64]byte // renderings that fit cost only the string
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends a's rendering, exactly String's bytes, to dst.
+func (a Atom) AppendTo(dst []byte) []byte {
+	dst = append(dst, a.Pred...)
+	dst = append(dst, '(')
 	for i, t := range a.Args {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(t.String())
+		dst = t.AppendTo(dst)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
+}
+
+// AtomSorter orders atoms as sorting them by String would, rendering
+// each atom once into scratch space that it keeps for the next call, so
+// a warm sorter allocates nothing per atom. Atoms with equal renderings
+// keep their input order. The zero value is ready to use; a sorter is
+// not safe for concurrent use.
+type AtomSorter struct {
+	buf   []byte
+	spans []renderSpan
+}
+
+// renderSpan is one atom's rendering, buf[lo:hi], and its input index.
+type renderSpan struct{ lo, hi, i int32 }
+
+// AppendSorted appends atoms to dst in rendering order and returns the
+// extended slice; atoms itself is not reordered.
+func (s *AtomSorter) AppendSorted(dst, atoms []Atom) []Atom {
+	s.buf, s.spans = s.buf[:0], slices.Grow(s.spans[:0], len(atoms))
+	for i, a := range atoms {
+		lo := len(s.buf)
+		s.buf = a.AppendTo(s.buf)
+		s.spans = append(s.spans, renderSpan{int32(lo), int32(len(s.buf)), int32(i)})
+	}
+	buf := s.buf
+	slices.SortFunc(s.spans, func(x, y renderSpan) int {
+		if c := bytes.Compare(buf[x.lo:x.hi], buf[y.lo:y.hi]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	for _, sp := range s.spans {
+		dst = append(dst, atoms[sp.i])
+	}
+	return dst
 }

@@ -208,6 +208,34 @@ func TestTermQuoting(t *testing.T) {
 	}
 }
 
+// TestQuotedConstantRoundTrip checks that every constant renders to a
+// form that parses back to the same constant, backslashes included.
+func TestQuotedConstantRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ name, rendered string }{
+		{`x\`, `"x\\"`},
+		{`a\b`, `"a\\b"`},
+		{`"`, `"\""`},
+		{`a"b\`, `"a\"b\\"`},
+		{`\\`, `"\\\\"`},
+		{`two words`, `"two words"`},
+		{`UpperStart`, `"UpperStart"`},
+		{`plain-id.9`, `plain-id.9`},
+	} {
+		c := Const(tc.name)
+		if got := c.String(); got != tc.rendered {
+			t.Errorf("Const(%q) renders %s, want %s", tc.name, got, tc.rendered)
+		}
+		q, err := ParseQuery("Q(X) :- r(X, " + c.String() + ")")
+		if err != nil {
+			t.Errorf("Const(%q): rendering %s does not parse: %v", tc.name, c, err)
+			continue
+		}
+		if got := q.Body[0].Args[1]; got != c {
+			t.Errorf("Const(%q) renders %s, which parses back as %#v", tc.name, c, got)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	if err := MustParseQuery("Q(X) :- r(X)").Validate(); err != nil {
 		t.Error(err)

@@ -11,8 +11,6 @@
 // convention).
 package schema
 
-import "strings"
-
 // Term is a variable or a constant appearing as an atom argument.
 type Term struct {
 	// Name is the variable name or the constant's lexical form.
@@ -31,12 +29,27 @@ func Const(value string) Term { return Term{Name: value, Const: true} }
 func (t Term) IsVar() bool { return !t.Const }
 
 // String renders the term; constants that do not look like plain
-// identifiers are quoted.
+// identifiers are quoted, with '\\' and '"' escaped by a backslash.
 func (t Term) String() string {
-	if t.Const && needsQuoting(t.Name) {
-		return "\"" + strings.ReplaceAll(t.Name, "\"", "\\\"") + "\""
+	if !t.Const || !needsQuoting(t.Name) {
+		return t.Name
 	}
-	return t.Name
+	return string(t.AppendTo(make([]byte, 0, len(t.Name)+2)))
+}
+
+// AppendTo appends t's rendering, exactly String's bytes, to dst.
+func (t Term) AppendTo(dst []byte) []byte {
+	if !t.Const || !needsQuoting(t.Name) {
+		return append(dst, t.Name...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(t.Name); i++ {
+		if c := t.Name[i]; c == '\\' || c == '"' {
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, t.Name[i])
+	}
+	return append(dst, '"')
 }
 
 // needsQuoting reports whether a constant's lexical form would be
