@@ -11,8 +11,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet covers the main module and the perfbench module, which ./...
+# does not reach.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 test:
 	$(GO) test ./...
@@ -38,8 +41,9 @@ lint-metrics:
 # store smokes (serve-smoke proves traceparent join, flight-recorder
 # retention and qptrace ingest end to end). The plain run matters:
 # the allocation-regression gates (testing.AllocsPerRun in
-# internal/coverage) skip themselves under -race, so only a non-race
-# pass enforces the zero-allocs-per-Evaluate promise. CI splits the same
+# internal/coverage and internal/costmodel, among others) skip themselves
+# under -race, so only a non-race pass enforces the zero-allocs-per-Evaluate
+# promise. CI splits the same
 # work across jobs (see .github/workflows/ci.yml): a fmt/vet/fuzz
 # fast-fail gate, an {ubuntu, macos} x {oldest Go, stable} build+test
 # matrix, a dedicated -race job, serving smokes, and a

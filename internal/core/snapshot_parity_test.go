@@ -8,61 +8,6 @@ import (
 	"qporder/internal/workload"
 )
 
-// TestSnapshotCacheParity asserts the snapshot-cache guarantee at the
-// orderer level: for every algorithm, the coverage measure with the
-// shared answer-set snapshot enabled emits byte-identical plans and
-// utilities to the uncached oracle, and reports identical work counters
-// (Evals and IndepStats) — at parallelism 1 and 8. The cache is a memo
-// of the exact same arithmetic, not an approximation.
-func TestSnapshotCacheParity(t *testing.T) {
-	for _, cfg := range []workload.Config{
-		{QueryLen: 2, BucketSize: 4, Universe: 256, Zones: 2, Seed: 11},
-		{QueryLen: 3, BucketSize: 4, Universe: 512, Zones: 3, Seed: 12},
-		{QueryLen: 3, BucketSize: 6, Universe: 512, Zones: 3, Seed: 13},
-	} {
-		d := workload.Generate(cfg)
-		total := int(d.Space.Size())
-		for _, workers := range []int{1, 8} {
-			cachedOrds := orderers(d, coverage.NewMeasure(d.Coverage))
-			oracleOrds := orderers(d, coverage.NewMeasureUncached(d.Coverage))
-			for name := range cachedOrds {
-				cached, oracle := cachedOrds[name], oracleOrds[name]
-				SetParallelism(cached, workers)
-				SetParallelism(oracle, workers)
-				cPlans, cUtils := Take(cached, total)
-				oPlans, oUtils := Take(oracle, total)
-				if len(cPlans) != len(oPlans) {
-					t.Errorf("cfg=%+v alg=%s workers=%d: cached emitted %d plans, uncached %d",
-						cfg, name, workers, len(cPlans), len(oPlans))
-					continue
-				}
-				for i := range cPlans {
-					if cPlans[i].Key() != oPlans[i].Key() {
-						t.Errorf("cfg=%+v alg=%s workers=%d: step %d plan %s, uncached %s",
-							cfg, name, workers, i, cPlans[i].Key(), oPlans[i].Key())
-						break
-					}
-					if cUtils[i] != oUtils[i] {
-						t.Errorf("cfg=%+v alg=%s workers=%d: step %d utility %g, uncached %g",
-							cfg, name, workers, i, cUtils[i], oUtils[i])
-						break
-					}
-				}
-				if ce, oe := cached.Context().Evals(), oracle.Context().Evals(); ce != oe {
-					t.Errorf("cfg=%+v alg=%s workers=%d: cached Evals %d, uncached %d",
-						cfg, name, workers, ce, oe)
-				}
-				cc, ch := cached.Context().IndepStats()
-				oc, oh := oracle.Context().IndepStats()
-				if cc != oc || ch != oh {
-					t.Errorf("cfg=%+v alg=%s workers=%d: cached IndepStats (%d,%d), uncached (%d,%d)",
-						cfg, name, workers, cc, ch, oc, oh)
-				}
-			}
-		}
-	}
-}
-
 // TestSnapshotSharedAcrossOrderers runs two orderers back to back over
 // the same measure; the second run must be pure cache hits for every
 // node and plan the first run materialized.

@@ -22,9 +22,8 @@ import (
 // utilities can increase as plans execute, so diminishing returns fails
 // and Streamer must not be used.
 type ChainCost struct {
-	cat  *lav.Catalog
 	prm  Params
-	aggs *aggCache // shared per-node aggregate snapshot; nil disables
+	aggs *aggCache // shared per-node aggregate snapshot
 }
 
 // NewChainCost returns the measure; Params.N must be positive. Contexts
@@ -34,7 +33,7 @@ func NewChainCost(cat *lav.Catalog, prm Params) *ChainCost {
 	if prm.N <= 0 {
 		panic(fmt.Sprintf("costmodel: Params.N = %g, want > 0", prm.N))
 	}
-	return &ChainCost{cat: cat, prm: prm, aggs: newAggCache(cat, prm, false)}
+	return &ChainCost{prm: prm, aggs: newAggCache(cat, prm, false)}
 }
 
 // Name implements measure.Measure.
@@ -80,8 +79,8 @@ func (m *ChainCost) NewContext() measure.Context {
 type chainCtx struct {
 	measure.Base
 	m      *ChainCost
-	cached opCache   // nil when caching is off
-	aggs   *aggFront // nil selects the unhoisted legacy path
+	cached opCache // nil when caching is off
+	aggs   *aggFront
 }
 
 func (c *chainCtx) Measure() measure.Measure { return c.m }
@@ -89,7 +88,7 @@ func (c *chainCtx) Measure() measure.Measure { return c.m }
 // Evaluate implements measure.Context.
 func (c *chainCtx) Evaluate(p *planspace.Plan) interval.Interval {
 	c.CountEval()
-	cost, _ := chainCost(c.m.cat, p, c.m.prm, c.cached, false, c.aggs)
+	cost, _ := chainCost(p, c.m.prm, c.cached, c.aggs)
 	return cost.Neg()
 }
 

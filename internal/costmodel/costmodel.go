@@ -18,7 +18,6 @@ package costmodel
 import (
 	"sort"
 
-	"qporder/internal/abstraction"
 	"qporder/internal/interval"
 	"qporder/internal/lav"
 	"qporder/internal/planspace"
@@ -114,76 +113,35 @@ func effectiveOverhead(st lav.Stats, failure bool) float64 {
 
 // chainCost computes the cost interval of the semijoin chain for plan p
 // and, for the monetary measure, the final output-tuple interval.
-// cached may be nil (no caching). useFees selects monetary coefficients
-// (AccessFee/TupleFee) instead of time coefficients (Overhead/TransmitCost).
-// With a non-nil aggs front the loop-invariant per-node aggregates come
-// from the shared snapshot; the arithmetic is operation-for-operation the
-// same as the unhoisted path, so results are bit-identical either way.
-func chainCost(cat *lav.Catalog, p *planspace.Plan, prm Params, cached opCache,
-	useFees bool, aggs *aggFront) (cost, outLast interval.Interval) {
+// cached may be nil (no caching). The loop-invariant per-node aggregates,
+// time or monetary coefficients alike, come from the aggs front over the
+// measure's shared snapshot.
+func chainCost(p *planspace.Plan, prm Params, cached opCache, aggs *aggFront) (cost, outLast interval.Interval) {
 	prevOut := interval.Point(0) // output of the previous position
 	total := interval.Point(0)
 	for k, node := range p.Nodes {
-		if aggs != nil {
-			ag := aggs.of(node)
-			var outIv interval.Interval
-			if k == 0 {
-				outIv = interval.New(ag.minN, ag.maxN)
-			} else {
-				outIv = interval.New(ag.minN, ag.maxN).Mul(prevOut).Scale(1 / prm.N)
-			}
-			var costIv interval.Interval
-			for i, m := range node.Sources {
-				var cm interval.Interval
-				if cached != nil && cached[opKey{k, m}] {
-					cm = interval.Point(0)
-				} else {
-					var outM interval.Interval
-					if k == 0 {
-						outM = interval.Point(ag.tuples[i])
-					} else {
-						outM = prevOut.Scale(ag.tN[i])
-					}
-					cm = outM.Scale(ag.coef[i]).Add(interval.Point(ag.base[i]))
-				}
-				if i == 0 {
-					costIv = cm
-				} else {
-					costIv = costIv.Hull(cm)
-				}
-			}
-			total = total.Add(costIv)
-			prevOut = outIv
-			continue
-		}
+		ag := aggs.of(node)
 		// Output-size interval of this position over all members.
-		minN, maxN := nRange(cat, node)
 		var outIv interval.Interval
 		if k == 0 {
-			outIv = interval.New(minN, maxN)
+			outIv = interval.New(ag.minN, ag.maxN)
 		} else {
-			outIv = interval.New(minN, maxN).Mul(prevOut).Scale(1 / prm.N)
+			outIv = interval.New(ag.minN, ag.maxN).Mul(prevOut).Scale(1 / prm.N)
 		}
 		// Cost-contribution hull over members.
 		var costIv interval.Interval
 		for i, m := range node.Sources {
-			st := cat.Source(m).Stats
 			var cm interval.Interval
 			if cached != nil && cached[opKey{k, m}] {
 				cm = interval.Point(0)
 			} else {
 				var outM interval.Interval
 				if k == 0 {
-					outM = interval.Point(st.Tuples)
+					outM = interval.Point(ag.tuples[i])
 				} else {
-					outM = prevOut.Scale(st.Tuples / prm.N)
+					outM = prevOut.Scale(ag.tN[i])
 				}
-				if useFees {
-					cm = outM.Scale(st.TupleFee).Add(interval.Point(st.AccessFee))
-				} else {
-					cm = outM.Scale(st.TransmitCost).
-						Add(interval.Point(effectiveOverhead(st, prm.Failure)))
-				}
+				cm = outM.Scale(ag.coef[i]).Add(interval.Point(ag.base[i]))
 			}
 			if i == 0 {
 				costIv = cm
@@ -195,22 +153,6 @@ func chainCost(cat *lav.Catalog, p *planspace.Plan, prm Params, cached opCache,
 		prevOut = outIv
 	}
 	return total, prevOut
-}
-
-// nRange returns the min and max Tuples statistic over a node's members.
-func nRange(cat *lav.Catalog, n *abstraction.Node) (float64, float64) {
-	min := cat.Source(n.Sources[0]).Stats.Tuples
-	max := min
-	for _, id := range n.Sources[1:] {
-		t := cat.Source(id).Stats.Tuples
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
-	}
-	return min, max
 }
 
 // sortBestFirst returns sources ordered ascending by key (lowest cost

@@ -36,12 +36,11 @@ const DefaultFaultCost = 25
 // warm access paths when ordering work; this measure brings that
 // distinction to plan ordering over the segment store.
 type IOCost struct {
-	cat *lav.Catalog
 	// pages[id] is the source's resident segment-page footprint; IDs at
 	// or beyond the slice charge zero pages.
 	pages []int
-	// linear[id] hoists h + α·n, as in LinearCost.
-	linear    []float64
+	// linear supplies each source's h + α·n term.
+	linear    *LinearCost
 	faultCost float64
 	caching   bool
 }
@@ -54,18 +53,12 @@ func NewIOCost(cat *lav.Catalog, pages []int, faultCost float64, caching bool) *
 	if faultCost <= 0 {
 		faultCost = DefaultFaultCost
 	}
-	m := &IOCost{
-		cat:       cat,
+	return &IOCost{
 		pages:     pages,
-		linear:    make([]float64, cat.Len()),
+		linear:    NewLinearCost(cat),
 		faultCost: faultCost,
 		caching:   caching,
 	}
-	for id := range m.linear {
-		st := cat.Source(lav.SourceID(id)).Stats
-		m.linear[id] = st.Overhead + st.TransmitCost*st.Tuples
-	}
-	return m
 }
 
 // Name implements measure.Measure.
@@ -99,14 +92,7 @@ func (m *IOCost) sourcePages(id lav.SourceID) int {
 
 // coldTerm is the full cold-access cost of one source.
 func (m *IOCost) coldTerm(id lav.SourceID) float64 {
-	var lin float64
-	if int(id) >= 0 && int(id) < len(m.linear) {
-		lin = m.linear[id]
-	} else {
-		st := m.cat.Source(id).Stats
-		lin = st.Overhead + st.TransmitCost*st.Tuples
-	}
-	return lin + m.faultCost*float64(m.sourcePages(id))
+	return m.linear.term(id) + m.faultCost*float64(m.sourcePages(id))
 }
 
 // BucketOrder implements measure.Measure: cold terms are unconditional,
@@ -142,11 +128,7 @@ func (c *ioCtx) Measure() measure.Measure { return c.m }
 func (c *ioCtx) term(id lav.SourceID) float64 {
 	if c.m.caching && c.warm[id] {
 		// Pages already resident: only the linear term is charged.
-		if int(id) >= 0 && int(id) < len(c.m.linear) {
-			return c.m.linear[id]
-		}
-		st := c.m.cat.Source(id).Stats
-		return st.Overhead + st.TransmitCost*st.Tuples
+		return c.m.linear.term(id)
 	}
 	return c.m.coldTerm(id)
 }

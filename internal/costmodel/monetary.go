@@ -21,9 +21,8 @@ import (
 // heuristic and utility, which is what makes abstraction ineffective in
 // panels (j)-(l) of Figure 6.
 type MonetaryPerTuple struct {
-	cat  *lav.Catalog
 	prm  Params
-	aggs *aggCache // shared per-node aggregate snapshot; nil disables
+	aggs *aggCache // shared per-node aggregate snapshot
 }
 
 // NewMonetaryPerTuple returns the measure; Params.N must be positive.
@@ -34,7 +33,7 @@ func NewMonetaryPerTuple(cat *lav.Catalog, prm Params) *MonetaryPerTuple {
 		panic(fmt.Sprintf("costmodel: Params.N = %g, want > 0", prm.N))
 	}
 	prm.Failure = false
-	return &MonetaryPerTuple{cat: cat, prm: prm, aggs: newAggCache(cat, prm, true)}
+	return &MonetaryPerTuple{prm: prm, aggs: newAggCache(cat, prm, true)}
 }
 
 // Name implements measure.Measure.
@@ -74,7 +73,7 @@ type monetaryCtx struct {
 	measure.Base
 	m      *MonetaryPerTuple
 	cached opCache
-	aggs   *aggFront // nil selects the unhoisted legacy path
+	aggs   *aggFront
 }
 
 func (c *monetaryCtx) Measure() measure.Measure { return c.m }
@@ -82,7 +81,7 @@ func (c *monetaryCtx) Measure() measure.Measure { return c.m }
 // Evaluate implements measure.Context.
 func (c *monetaryCtx) Evaluate(p *planspace.Plan) interval.Interval {
 	c.CountEval()
-	cost, out := chainCost(c.m.cat, p, c.m.prm, c.cached, true, c.aggs)
+	cost, out := chainCost(p, c.m.prm, c.cached, c.aggs)
 	// out is strictly positive: Tuples >= 1 everywhere and N is finite.
 	return cost.Div(out).Neg()
 }

@@ -9,15 +9,15 @@ import (
 
 // nodeAgg holds the loop-invariant per-node aggregates of the chain cost
 // formula, hoisted out of the Evaluate hot loop: the member tuple-count
-// range (nRange) and, per member, every catalog-derived coefficient the
-// inner loop needs. All of it is a pure function of the immutable catalog
-// and the measure's fixed Params, so it is computed once per node content
-// and shared. The precomputed values feed exactly the same arithmetic the
-// unhoisted loop performs (e.g. tN stores the already-divided
-// Tuples/Params.N the loop would compute), keeping evaluated intervals
-// bit-identical to the legacy path.
+// range and, per member, every catalog-derived coefficient the inner loop
+// needs. All of it is a pure function of the immutable catalog and the
+// measure's fixed Params, so it is computed once per node content and
+// shared. Each value is the operand the formula reads straight off the
+// catalog (tN stores the already-divided Tuples/Params.N), so evaluated
+// intervals are bit-identical to the unhoisted loop that
+// snapshot_test.go keeps as the reference.
 type nodeAgg struct {
-	minN, maxN float64   // Tuples range over members (nRange)
+	minN, maxN float64   // Tuples range over members
 	tuples     []float64 // Tuples per member (position-0 output)
 	tN         []float64 // Tuples/Params.N per member (later positions)
 	coef       []float64 // TransmitCost (time) or TupleFee (monetary)
@@ -87,17 +87,13 @@ func (a *aggCache) shared(n *abstraction.Node) *nodeAgg {
 
 // aggFront is a per-context pointer-keyed front over a shared aggCache: a
 // local hit costs one map probe with no key boxing, so the warm Evaluate
-// path stays allocation-free. A nil front selects the legacy unhoisted
-// computation (the differential oracle in tests).
+// path stays allocation-free (snapshot_test.go's allocation gate).
 type aggFront struct {
 	cache *aggCache
 	local map[*abstraction.Node]*nodeAgg
 }
 
 func newAggFront(cache *aggCache) *aggFront {
-	if cache == nil {
-		return nil
-	}
 	return &aggFront{cache: cache, local: make(map[*abstraction.Node]*nodeAgg)}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qporder/internal/abstraction"
+	"qporder/internal/interval"
 	"qporder/internal/lav"
 	"qporder/internal/measure"
 	"qporder/internal/planspace"
@@ -34,10 +35,103 @@ func testCatalog(seed int64, nBuckets, width int) (*lav.Catalog, [][]lav.SourceI
 	return cat, buckets
 }
 
-// TestHoistedChainMatchesLegacy drives hoisted and legacy contexts of
-// every chain-family configuration through an identical schedule and
-// requires bit-identical intervals — the hoisted aggregates must feed the
-// exact same float operations the unhoisted loop performs.
+// legacyChainCost is the reference for chainCost: the unhoisted
+// semijoin-chain loop, which reads every member's statistics straight off
+// the catalog on each evaluation. useFees selects monetary coefficients
+// (AccessFee/TupleFee) instead of time coefficients
+// (Overhead/TransmitCost).
+func legacyChainCost(cat *lav.Catalog, p *planspace.Plan, prm Params, cached opCache,
+	useFees bool) (cost, outLast interval.Interval) {
+	prevOut := interval.Point(0) // output of the previous position
+	total := interval.Point(0)
+	for k, node := range p.Nodes {
+		// Output-size interval of this position over all members.
+		minN := cat.Source(node.Sources[0]).Stats.Tuples
+		maxN := minN
+		for _, id := range node.Sources[1:] {
+			t := cat.Source(id).Stats.Tuples
+			if t < minN {
+				minN = t
+			}
+			if t > maxN {
+				maxN = t
+			}
+		}
+		var outIv interval.Interval
+		if k == 0 {
+			outIv = interval.New(minN, maxN)
+		} else {
+			outIv = interval.New(minN, maxN).Mul(prevOut).Scale(1 / prm.N)
+		}
+		// Cost-contribution hull over members.
+		var costIv interval.Interval
+		for i, m := range node.Sources {
+			st := cat.Source(m).Stats
+			var cm interval.Interval
+			if cached != nil && cached[opKey{k, m}] {
+				cm = interval.Point(0)
+			} else {
+				var outM interval.Interval
+				if k == 0 {
+					outM = interval.Point(st.Tuples)
+				} else {
+					outM = prevOut.Scale(st.Tuples / prm.N)
+				}
+				if useFees {
+					cm = outM.Scale(st.TupleFee).Add(interval.Point(st.AccessFee))
+				} else {
+					cm = outM.Scale(st.TransmitCost).
+						Add(interval.Point(effectiveOverhead(st, prm.Failure)))
+				}
+			}
+			if i == 0 {
+				costIv = cm
+			} else {
+				costIv = costIv.Hull(cm)
+			}
+		}
+		total = total.Add(costIv)
+		prevOut = outIv
+	}
+	return total, prevOut
+}
+
+// legacyCtx evaluates ChainCost (monetary false) or MonetaryPerTuple
+// through legacyChainCost, with the same operation-caching semantics.
+type legacyCtx struct {
+	cat      *lav.Catalog
+	prm      Params
+	monetary bool
+	cached   opCache // nil when caching is off
+}
+
+func newLegacyCtx(cat *lav.Catalog, prm Params, monetary bool) *legacyCtx {
+	c := &legacyCtx{cat: cat, prm: prm, monetary: monetary}
+	if prm.Caching {
+		c.cached = make(opCache)
+	}
+	return c
+}
+
+func (c *legacyCtx) Evaluate(p *planspace.Plan) interval.Interval {
+	cost, out := legacyChainCost(c.cat, p, c.prm, c.cached, c.monetary)
+	if c.monetary {
+		return cost.Div(out).Neg()
+	}
+	return cost.Neg()
+}
+
+func (c *legacyCtx) Observe(d *planspace.Plan) {
+	if c.cached != nil {
+		c.cached.add(d)
+	}
+}
+
+// TestHoistedChainMatchesLegacy drives hoisted contexts of every
+// chain-family configuration and the legacyChainCost reference through
+// an identical schedule and requires bit-identical intervals — the
+// hoisted aggregates must feed the exact same float operations the
+// unhoisted loop performs.
 func TestHoistedChainMatchesLegacy(t *testing.T) {
 	for _, cfg := range []struct {
 		name             string
@@ -57,16 +151,13 @@ func TestHoistedChainMatchesLegacy(t *testing.T) {
 				space := planspace.NewSpace(buckets)
 				prm := Params{N: 5000, Failure: cfg.failure, Caching: cfg.caching}
 
-				var hoisted, legacy measure.Context
+				var hoisted measure.Context
 				if cfg.monetary {
 					hoisted = NewMonetaryPerTuple(cat, prm).NewContext()
-					lm := &MonetaryPerTuple{cat: cat, prm: prm}
-					lm.prm.Failure = false
-					legacy = lm.NewContext()
 				} else {
 					hoisted = NewChainCost(cat, prm).NewContext()
-					legacy = (&ChainCost{cat: cat, prm: prm}).NewContext()
 				}
+				legacy := newLegacyCtx(cat, prm, cfg.monetary)
 
 				rng := rand.New(rand.NewSource(seed ^ 0xd1ff))
 				all := space.Enumerate()
@@ -137,6 +228,40 @@ func TestHoistedLinearMatchesLegacy(t *testing.T) {
 					t.Fatalf("seed=%d bucket %d: order differs at %d", seed, b, i)
 				}
 			}
+		}
+	}
+}
+
+// TestWarmEvaluateZeroAllocs is the allocation-regression gate for the
+// cost measures: once a context's aggregate front is warm, scoring a
+// frontier of abstract and concrete plans must not touch the heap.
+func TestWarmEvaluateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	cat, buckets := testCatalog(3, 3, 6)
+	space := planspace.NewSpace(buckets)
+	root := space.Root(abstraction.ByTuples(cat))
+	all := space.Enumerate()
+	frontier := append([]*planspace.Plan{root}, root.Refine()...)
+	frontier = append(frontier, all...)
+	prm := Params{N: 5000, Failure: true, Caching: true}
+	for _, m := range []measure.Measure{
+		NewChainCost(cat, prm),
+		NewMonetaryPerTuple(cat, prm),
+		NewLinearCost(cat),
+	} {
+		ctx := m.NewContext()
+		for _, p := range frontier { // warm the aggregate front
+			ctx.Evaluate(p)
+		}
+		ctx.Observe(all[0])
+		i := 0
+		if avg := testing.AllocsPerRun(200, func() {
+			ctx.Evaluate(frontier[i%len(frontier)])
+			i++
+		}); avg != 0 {
+			t.Errorf("%s: warm Evaluate allocates %.2f allocs/op, want 0", m.Name(), avg)
 		}
 	}
 }

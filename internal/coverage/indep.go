@@ -21,9 +21,9 @@ import (
 func (c *context) IndependentSweep(plans []*planspace.Plan, d *planspace.Plan, alive, indep []bool) {
 	q := d.Len()
 	if !d.Concrete() || c.model.MaxID() < 0 || len(plans) == 0 ||
-		len(plans[0].Nodes) != q || !c.primeIndepIDs(plans) {
-		// Rare shape (abstract delta, arity mismatch, unstable plan
-		// list): the scalar oracle per plan.
+		len(plans[0].Nodes) != q {
+		// Rare shape (abstract delta, empty model or list, first plan's
+		// arity unlike the delta's): the scalar oracle per plan.
 		checks, hits := 0, 0
 		for i, p := range plans {
 			if alive != nil && !alive[i] {
@@ -39,6 +39,7 @@ func (c *context) IndependentSweep(plans []*planspace.Plan, d *planspace.Plan, a
 		c.CountIndeps(checks, hits)
 		return
 	}
+	c.primeIndepIDs(plans)
 	c.primeIndepRows(d)
 	rows := c.indepRows
 	ids := c.indepIDs
@@ -79,12 +80,12 @@ const indepSlow = -1
 // static slice after every output, so steady state is one slice-header
 // comparison. Plans and the slices holding them are immutable by the
 // planspace contract, so slice identity (backing array plus length)
-// implies identical contents. Reports false when the list's plans are
-// not uniformly of the first plan's arity with in-row source IDs — the
-// caller falls back to the scalar oracle.
-func (c *context) primeIndepIDs(plans []*planspace.Plan) bool {
+// implies identical contents. A plan that is not of the first plan's
+// arity, or has an abstract node or an out-of-row source ID, is marked
+// indepSlow and judged by sweepSlow.
+func (c *context) primeIndepIDs(plans []*planspace.Plan) {
 	if len(c.indepPlans) == len(plans) && &c.indepPlans[0] == &plans[0] {
-		return true
+		return
 	}
 	q := len(plans[0].Nodes)
 	maxID := c.model.MaxID()
@@ -108,7 +109,6 @@ func (c *context) primeIndepIDs(plans []*planspace.Plan) bool {
 		}
 	}
 	c.indepPlans = plans
-	return true
 }
 
 // sweepSlow is the flat scan's per-node fallback for plans it could not

@@ -36,39 +36,6 @@ func testModel(seed int64, universe, nBuckets, width int) (*Model, [][]lav.Sourc
 	return m, buckets
 }
 
-// TestSnapshotCapOverflowMatchesUncapped: with a snapshot too small for
-// the plan space, the fused-kernel fallback path must return the same
-// utilities as an uncapped snapshot and as the uncached oracle.
-func TestSnapshotCapOverflowMatchesUncapped(t *testing.T) {
-	model, buckets := testModel(21, 256, 3, 4) // 64 plans
-	space := planspace.NewSpace(buckets)
-
-	tiny := &Measure{model: model, snap: newSnapshot(5)}
-	full := NewMeasure(model)
-	plain := NewMeasureUncached(model)
-	ctxT, ctxF, ctxP := tiny.NewContext(), full.NewContext(), plain.NewContext()
-
-	all := space.Enumerate()
-	rng := rand.New(rand.NewSource(4))
-	for round := 0; round < 3; round++ {
-		root := space.Root(abstraction.ByID())
-		for _, p := range append(all, root) {
-			a, b, c := ctxT.Evaluate(p), ctxF.Evaluate(p), ctxP.Evaluate(p)
-			if a != b || b != c {
-				t.Fatalf("plan %s: tiny %v, full %v, uncached %v", p.Key(), a, b, c)
-			}
-		}
-		d := all[rng.Intn(len(all))]
-		ctxT.Observe(d)
-		ctxF.Observe(d)
-		ctxP.Observe(d)
-	}
-	if n := tiny.snap.count.Load(); n > 5+1 {
-		// roomFor is a soft bound: single-threaded overshoot is at most one.
-		t.Errorf("tiny snapshot holds %d sets, cap 5", n)
-	}
-}
-
 // TestConcreteEvaluateZeroAllocs is the allocation-regression gate for
 // the evaluation hot path: once a concrete plan's answer set is
 // memoized, Evaluate must not allocate at all.

@@ -40,7 +40,6 @@ func TestRunContextCancelMidStream(t *testing.T) {
 
 	cfg, eng, _ = fixture(t)
 	cfg.Parallelism = 2
-	cfg.PipelineDepth = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.OnPlan = func(e PlanEvent) {

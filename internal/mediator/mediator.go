@@ -85,10 +85,6 @@ type Config struct {
 	// executes while plan i+1 is ordered. 0 or 1 keeps the sequential
 	// behavior.
 	Parallelism int
-	// PipelineDepth bounds the pipelined mode's plan queue (default 2).
-	// Deeper queues let ordering run further ahead of execution; plans
-	// pulled ahead of a budget stop are preserved for the next Run call.
-	PipelineDepth int
 	// Adaptive re-orders the remaining plans when the calibration the
 	// engine records into names a drifted source (the execution-level
 	// adaptation of Section 7's related work, fed back into
@@ -731,6 +727,11 @@ func (s *System) nextSoundFunc(ctx context.Context) (next func() sound, drain fu
 	return s.nextSound, func() {}
 }
 
+// pipelineDepth is the capacity of the pipelined mode's plan queue: how
+// many ordered plans may wait for execution. Plans pulled ahead of a
+// budget stop are preserved for the next Run call.
+const pipelineDepth = 2
+
 // pipelined builds the Parallelism-mode plan supplier: a producer
 // goroutine orders and soundness-checks plans into a bounded queue while
 // the caller executes, so plan i executes while plan i+1 is ordered.
@@ -760,12 +761,8 @@ func (s *System) pipelined(runCtx context.Context) (next func() sound, drain fun
 		drain = func() { s.next, s.drain = nil, nil }
 		return next, drain
 	}
-	depth := s.cfg.PipelineDepth
-	if depth < 1 {
-		depth = 2
-	}
 	ctx, cancel := context.WithCancel(runCtx)
-	ch := make(chan sound, depth)
+	ch := make(chan sound, pipelineDepth)
 	done := make(chan struct{})
 	var leftover *sound // written by the producer before done closes
 	go func() {

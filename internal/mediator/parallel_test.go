@@ -3,11 +3,13 @@ package mediator
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"qporder/internal/costmodel"
 	"qporder/internal/execsim"
 	"qporder/internal/lav"
 	"qporder/internal/measure"
+	"qporder/internal/obs"
 	"qporder/internal/schema"
 )
 
@@ -100,9 +102,9 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPipelinedContinuesAcrossBudgets stops a deep pipeline after one
-// plan; the plans the producer pulled ahead must survive the stop and
-// execute — in order — on the next Run, with nothing lost or duplicated.
+// TestPipelinedContinuesAcrossBudgets stops the pipeline after one plan;
+// the plans the producer pulled ahead must survive the stop and execute —
+// in order — on the next Run, with nothing lost or duplicated.
 func TestPipelinedContinuesAcrossBudgets(t *testing.T) {
 	cfg, mkEng := wideFixture(t)
 	ref, err := New(cfg)
@@ -115,13 +117,26 @@ func TestPipelinedContinuesAcrossBudgets(t *testing.T) {
 	}
 
 	cfg.Parallelism = 4
-	cfg.PipelineDepth = 4 // pull several plans ahead of the budget stop
-	sys, err := New(cfg)
+	cfg.Obs = obs.NewRegistry()
+	var sys *System
+	var got []string
+	cfg.OnPlan = func(PlanEvent) {
+		if len(got) > 0 {
+			return
+		}
+		// Hold the first plan's execution until the producer has begun
+		// ordering the next one, so the budget stop always has a plan
+		// pulled ahead to stash, however the goroutines are scheduled.
+		nextCalls := cfg.Obs.Counter("core." + string(sys.algo) + ".next_calls")
+		for deadline := time.Now().Add(5 * time.Second); nextCalls.Value() < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	sys, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := mkEng()
-	var got []string
 	for {
 		res, err := sys.Run(eng, Budget{MaxPlans: 1})
 		if err != nil {
@@ -129,6 +144,9 @@ func TestPipelinedContinuesAcrossBudgets(t *testing.T) {
 		}
 		for _, pq := range res.Executed {
 			got = append(got, pq.String())
+		}
+		if len(got) == 1 && len(sys.stash) == 0 {
+			t.Fatal("no plan pulled ahead of the first one-plan budget stop")
 		}
 		if res.Stopped == StopExhausted {
 			break
