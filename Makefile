@@ -95,6 +95,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/domfile
 	$(GO) test -fuzz FuzzKernels -fuzztime $(FUZZTIME) ./internal/bitset
 	$(GO) test -fuzz FuzzPlanKeyOrder -fuzztime $(FUZZTIME) ./internal/planspace
+	$(GO) test -fuzz FuzzSoundness -fuzztime $(FUZZTIME) ./internal/reformulate
 	$(GO) test -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME) ./internal/store
 
 # serve-smoke boots the qpserved daemon (race-enabled build) on a random

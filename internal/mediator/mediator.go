@@ -261,7 +261,10 @@ func (s bucketSource) spaces() []*planspace.Space { return []*planspace.Space{s.
 func (s bucketSource) planQuery(p *planspace.Plan) (*schema.Query, error) {
 	return s.pd.PlanQuery(p)
 }
-func (s bucketSource) isSound(p *planspace.Plan) (bool, error) { return s.pd.IsSound(p) }
+
+// isSound runs after planQuery accepted p (see nextSound), so the plan
+// query is not built again.
+func (s bucketSource) isSound(p *planspace.Plan) (bool, error) { return s.pd.IsSoundPlanned(p) }
 func (s bucketSource) entries() *lav.Catalog                   { return s.pd.Entries }
 func (s bucketSource) entriesWithStats(f func(*lav.Source) lav.Stats) *lav.Catalog {
 	return s.pd.EntriesWithStats(f)

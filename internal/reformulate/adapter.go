@@ -2,7 +2,11 @@ package reformulate
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
 
+	"qporder/internal/containment"
 	"qporder/internal/core"
 	"qporder/internal/lav"
 	"qporder/internal/planspace"
@@ -14,6 +18,11 @@ import (
 // bucket *entry*, not the source: PlanDomain derives an entry catalog with
 // one derived source per entry, copying the underlying source's
 // statistics, and exposes the plan space over entry IDs.
+//
+// A PlanDomain is safe for concurrent use once built: the soundness test
+// runs on a compiled form of the user query and on per-entry expansions
+// memoized on first use (see IsSoundPlanned), so sessions that share one
+// domain share the memo.
 type PlanDomain struct {
 	// Buckets is the reformulation result this domain was built from.
 	Buckets *Buckets
@@ -24,7 +33,25 @@ type PlanDomain struct {
 	// Space is the plan space over entry IDs.
 	Space *planspace.Space
 
-	entryOf map[lav.SourceID]Entry
+	// entryOf[id] is the bucket entry behind derived entry id; derived
+	// IDs are dense from 0, in bucket order.
+	entryOf []Entry
+	// query is the user query compiled as the containing side of the
+	// soundness test.
+	query *containment.Compiled
+	// expansions[id] memoizes entry id's expansion at its subgoal's
+	// position, published once by compare-and-swap.
+	expansions []atomic.Pointer[expansion]
+	// bodies recycles the buffers a soundness test gathers a plan's
+	// expansion into (*[]schema.Atom).
+	bodies sync.Pool
+}
+
+// expansion is one entry's memoized expansion, or the error expanding
+// its atom gave.
+type expansion struct {
+	body []schema.Atom
+	err  error
 }
 
 // NewPlanDomain derives the ordering-facing view of a bucket set.
@@ -33,18 +60,20 @@ func NewPlanDomain(b *Buckets, cat *lav.Catalog) *PlanDomain {
 		Buckets: b,
 		Source:  cat,
 		Entries: lav.NewCatalog(),
-		entryOf: make(map[lav.SourceID]Entry),
+		query:   containment.Compile(b.Query),
 	}
+	pd.bodies.New = func() any { return new([]schema.Atom) }
 	buckets := make([][]lav.SourceID, len(b.Entries))
 	for gi, es := range b.Entries {
+		buckets[gi] = make([]lav.SourceID, len(es))
 		for ei, e := range es {
-			name := fmt.Sprintf("%s@g%d#%d", e.Source.Name, gi, ei)
-			derived := pd.Entries.MustAdd(name, nil, e.Source.Stats)
-			pd.entryOf[derived.ID] = e
-			buckets[gi] = append(buckets[gi], derived.ID)
+			name := e.Source.Name + "@g" + strconv.Itoa(gi) + "#" + strconv.Itoa(ei)
+			buckets[gi][ei] = pd.Entries.MustAdd(name, nil, e.Source.Stats).ID
+			pd.entryOf = append(pd.entryOf, e)
 		}
 	}
 	pd.Space = planspace.NewSpace(buckets)
+	pd.expansions = make([]atomic.Pointer[expansion], pd.Entries.Len())
 	return pd
 }
 
@@ -89,21 +118,64 @@ func (pd *PlanDomain) PlanQuery(p *planspace.Plan) (*schema.Query, error) {
 	if !p.Concrete() {
 		return nil, fmt.Errorf("reformulate: PlanQuery of abstract plan %s", p.Key())
 	}
-	choice := make([]Entry, p.Len())
-	for i, id := range p.Sources() {
-		choice[i] = pd.entryOf[id]
+	var buf [8]Entry
+	choice := buf[:0]
+	for _, n := range p.Nodes {
+		choice = append(choice, pd.entryOf[n.Source()])
 	}
 	return pd.Buckets.PlanQuery(choice)
 }
 
-// IsSound runs the soundness test on a concrete ordering plan. Unsafe
-// plans (PlanQuery error) are unsound.
+// IsSound runs the soundness test on a concrete ordering plan: whether
+// Expand of its plan query is contained in the user query. Plans
+// PlanQuery rejects (abstract, or unsafe) are unsound. It builds p's plan
+// query to check it; a caller that has just built it calls IsSoundPlanned.
 func (pd *PlanDomain) IsSound(p *planspace.Plan) (bool, error) {
-	pq, err := pd.PlanQuery(p)
-	if err != nil {
+	if _, err := pd.PlanQuery(p); err != nil {
 		return false, nil
 	}
-	return IsSound(pq, pd.Buckets.Query, pd.Source)
+	return pd.IsSoundPlanned(p)
+}
+
+// IsSoundPlanned is IsSound for a plan PlanQuery has accepted, and
+// repeats none of PlanQuery's checks.
+//
+// The plan query is not expanded. Each entry's expansion (its
+// description body at its subgoal's position, existentials freshened as
+// Expand names them) is memoized on first use, the plan's expansion is
+// the concatenation of its entries' memos in plan order, and the
+// containment test runs on the compiled user query, so a check whose
+// entries are all memoized allocates nothing.
+func (pd *PlanDomain) IsSoundPlanned(p *planspace.Plan) (bool, error) {
+	bp := pd.bodies.Get().(*[]schema.Atom)
+	defer pd.bodies.Put(bp)
+	body := (*bp)[:0]
+	for _, n := range p.Nodes {
+		x := pd.expansion(n.Source())
+		if x.err != nil {
+			return false, x.err
+		}
+		body = append(body, x.body...)
+	}
+	*bp = body
+	return pd.query.Contains(pd.Buckets.Query.Head, body), nil
+}
+
+// expansion returns entry id's memoized expansion, computing it on first
+// use. Racing first uses compute equal expansions and keep the first
+// published one.
+func (pd *PlanDomain) expansion(id lav.SourceID) *expansion {
+	slot := &pd.expansions[id]
+	if x := slot.Load(); x != nil {
+		return x
+	}
+	e := pd.entryOf[id]
+	body, err := expandAtom(nil, e.Atom, e.Subgoal, pd.Source)
+	x := &expansion{body: body, err: err}
+	if !slot.CompareAndSwap(nil, x) {
+		return slot.Load()
+	}
+	return x
 }
 
 // SoundNext pulls plans from an orderer until a sound one appears,
@@ -121,7 +193,7 @@ func (pd *PlanDomain) SoundNext(o core.Orderer) (*planspace.Plan, *schema.Query,
 		if err != nil {
 			continue // unsafe: cannot be sound
 		}
-		sound, err := IsSound(pq, pd.Buckets.Query, pd.Source)
+		sound, err := pd.IsSoundPlanned(p)
 		if err != nil {
 			return nil, nil, 0, false, err
 		}

@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"qporder/internal/lav"
+	"qporder/internal/planspace"
 	"qporder/internal/schema"
 	"qporder/internal/workload"
 )
 
 // buildBucketsReference is BuildBuckets as it was before sources were
-// filtered by predicate ahead of Rename: every source's view renamed
-// for every subgoal, the needed variables recomputed per unifier.
+// filtered by predicate and before unification ran on unrenamed
+// descriptions: every source's view renamed for every subgoal,
+// unified through schema.Subst, the needed variables recomputed per
+// unifier.
 func buildBucketsReference(q *schema.Query, cat *lav.Catalog) (*Buckets, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -31,7 +34,7 @@ func buildBucketsReference(q *schema.Query, cat *lav.Catalog) (*Buckets, error) 
 				if !ok {
 					continue
 				}
-				if !headVarsPreserved(neededVars(q, goal), sub, existential) {
+				if !headVarsPreservedReference(neededVarsReference(q, goal), sub, existential) {
 					continue
 				}
 				head := schema.Atom{Pred: src.Name, Args: def.Head}
@@ -50,6 +53,128 @@ func buildBucketsReference(q *schema.Query, cat *lav.Catalog) (*Buckets, error) 
 		}
 	}
 	return b, nil
+}
+
+// headVarsPreservedReference is the bucket algorithm's pruning
+// condition over a schema.Subst, as BuildBuckets checked it before its
+// binding table.
+func headVarsPreservedReference(needed []schema.Term, sub schema.Subst, viewExistential []schema.Term) bool {
+	for _, y := range viewExistential {
+		img := sub.Resolve(y)
+		if img.IsVar() && termIn(needed, img) {
+			return false
+		}
+	}
+	for _, x := range needed {
+		img := sub.Resolve(x)
+		if img.IsVar() && termIn(viewExistential, img) {
+			return false
+		}
+	}
+	return true
+}
+
+// neededVarsReference is neededVars as it was before it stopped
+// collecting each other subgoal's variables into a slice.
+func neededVarsReference(q *schema.Query, goal schema.Atom) []schema.Term {
+	goalVars := goal.Vars(nil)
+	var out []schema.Term
+	head := q.DistinguishedVars()
+	for _, v := range goalVars {
+		if termIn(head, v) {
+			out = append(out, v)
+			continue
+		}
+		for _, other := range q.Body {
+			if other.Equal(goal) {
+				continue
+			}
+			if termIn(other.Vars(nil), v) {
+				out = append(out, v)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// containsReference is containment.Contains as it was before the
+// compiled kernel: both queries renamed apart, the homomorphism grown by
+// cloning the substitution per candidate atom.
+func containsReference(q1, q2 *schema.Query) bool {
+	if len(q1.Head) != len(q2.Head) {
+		return false
+	}
+	q1, q2 = q1.Rename("_c1"), q2.Rename("_c2")
+	h := schema.Subst{}
+	for i, t2 := range q2.Head {
+		t1 := q1.Head[i]
+		if t2.Const {
+			if t2 != t1 {
+				return false
+			}
+			continue
+		}
+		if img, ok := h[t2]; ok {
+			if img != t1 {
+				return false
+			}
+			continue
+		}
+		h[t2] = t1
+	}
+	return mapAtomsReference(q2.Body, q1.Body, h)
+}
+
+func mapAtomsReference(src, dst []schema.Atom, h schema.Subst) bool {
+	if len(src) == 0 {
+		return true
+	}
+	for _, b := range dst {
+		if ext, ok := mapAtomReference(src[0], b, h); ok && mapAtomsReference(src[1:], dst, ext) {
+			return true
+		}
+	}
+	return false
+}
+
+func mapAtomReference(a, b schema.Atom, h schema.Subst) (schema.Subst, bool) {
+	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
+		return nil, false
+	}
+	ext := h.Clone()
+	for i, ta := range a.Args {
+		tb := b.Args[i]
+		if ta.Const {
+			if ta != tb {
+				return nil, false
+			}
+			continue
+		}
+		if img, ok := ext[ta]; ok {
+			if img != tb {
+				return nil, false
+			}
+			continue
+		}
+		ext[ta] = tb
+	}
+	return ext, true
+}
+
+// isSoundReference is the soundness test as PlanDomain.IsSound ran it
+// before the per-entry expansion memo: build the plan query, expand it,
+// and test containment by renaming.
+func isSoundReference(pd *PlanDomain, p *planspace.Plan) (bool, error) {
+	pq, err := pd.PlanQuery(p)
+	if err != nil {
+		return false, nil
+	}
+	exp, err := Expand(pq, pd.Source)
+	if err != nil {
+		return false, err
+	}
+	return containsReference(exp, pd.Buckets.Query), nil
 }
 
 // buildMCDsReference is BuildMCDs as it was before sources were

@@ -50,35 +50,40 @@ func (q *Query) DistinguishedVars() []Term {
 	return Atom{Args: q.Head}.Vars(vs)
 }
 
-// ExistentialVars returns body variables that do not occur in the head.
+// ExistentialVars returns body variables that do not occur in the head,
+// in order of first occurrence.
 func (q *Query) ExistentialVars() []Term {
-	head := q.DistinguishedVars()
-	var vs []Term
-	for _, a := range q.Body {
-		vs = a.Vars(vs)
-	}
 	var out []Term
-	for _, v := range vs {
-		if !containsTerm(head, v) {
-			out = append(out, v)
+	for _, a := range q.Body {
+		for _, t := range a.Args {
+			if t.IsVar() && !containsTerm(q.Head, t) && !containsTerm(out, t) {
+				out = append(out, t)
+			}
 		}
 	}
 	return out
 }
 
 // IsSafe reports whether every head variable appears in the body (range
-// restriction), the usual safety condition for conjunctive queries.
+// restriction), the usual safety condition for conjunctive queries. It
+// scans the body once per head variable and allocates nothing.
 func (q *Query) IsSafe() bool {
-	var bodyVars []Term
-	for _, a := range q.Body {
-		bodyVars = a.Vars(bodyVars)
-	}
 	for _, t := range q.Head {
-		if t.IsVar() && !containsTerm(bodyVars, t) {
+		if t.IsVar() && !q.bodyHas(t) {
 			return false
 		}
 	}
 	return true
+}
+
+// bodyHas reports whether t occurs as an argument of some body atom.
+func (q *Query) bodyHas(t Term) bool {
+	for _, a := range q.Body {
+		if containsTerm(a.Args, t) {
+			return true
+		}
+	}
+	return false
 }
 
 // Validate returns an error describing the first well-formedness problem:

@@ -1,0 +1,7 @@
+//go:build !race
+
+package schema
+
+// raceEnabled reports whether the race detector instrumented this build;
+// allocation-count tests skip under it (see race_on_test.go).
+const raceEnabled = false

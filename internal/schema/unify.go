@@ -38,17 +38,36 @@ func resolve(t Term, s Subst) Term {
 
 // UnifyAtoms extends s to unify atoms a and b (same predicate and arity
 // required). It returns the extended substitution and true on success.
+//
+// s itself is never modified: the first new binding copies it once and
+// later bindings go into that copy. A success that needs no new binding
+// returns s, a failure returns s and false.
 func UnifyAtoms(a, b Atom, s Subst) (Subst, bool) {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
 		return s, false
 	}
 	cur := s
+	copied := false
 	for i := range a.Args {
-		var ok bool
-		cur, ok = UnifyTerms(a.Args[i], b.Args[i], cur)
-		if !ok {
-			return s, false
+		x := resolve(a.Args[i], cur)
+		y := resolve(b.Args[i], cur)
+		if x == y {
+			continue
 		}
+		if !x.IsVar() {
+			if !y.IsVar() {
+				return s, false // distinct constants
+			}
+			x, y = y, x
+		}
+		if !copied {
+			cur = make(Subst, len(s)+len(a.Args)-i)
+			for k, v := range s {
+				cur[k] = v
+			}
+			copied = true
+		}
+		cur[x] = y
 	}
 	return cur, true
 }

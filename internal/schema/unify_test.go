@@ -1,6 +1,9 @@
 package schema
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestMatchAtomSemantics pins MatchAtom's contract case by case: the
 // extension it returns on a match, a failure on a mismatch, and an input
@@ -50,5 +53,102 @@ func TestMatchAtomSemantics(t *testing.T) {
 				t.Fatal("the returned substitution aliases the input")
 			}
 		})
+	}
+}
+
+// unifyAtomsReference is UnifyAtoms as it was before it copied s once:
+// UnifyTerms, which clones the whole substitution on every new binding,
+// applied position by position.
+func unifyAtomsReference(a, b Atom, s Subst) (Subst, bool) {
+	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
+		return s, false
+	}
+	cur := s
+	for i := range a.Args {
+		var ok bool
+		cur, ok = UnifyTerms(a.Args[i], b.Args[i], cur)
+		if !ok {
+			return s, false
+		}
+	}
+	return cur, true
+}
+
+// TestUnifyAtomsLeavesInputAlone checks that neither a success nor a
+// failure writes to the caller's substitution, and that a success's
+// result is not the caller's map once a binding was added.
+func TestUnifyAtomsLeavesInputAlone(t *testing.T) {
+	X, Y, A := Var("X"), Var("Y"), Var("A")
+	a, b := Const("a"), Const("b")
+	in := Subst{A: X}
+	before := in.String()
+	got, ok := UnifyAtoms(NewAtom("p", A, Y), NewAtom("p", a, X), in)
+	if !ok || got.String() != "{A→X, X→a, Y→a}" {
+		t.Fatalf("UnifyAtoms = %s, %v", got, ok)
+	}
+	if in.String() != before {
+		t.Fatalf("success changed the input: %s -> %s", before, in)
+	}
+	got[Var("Fresh")] = b
+	if in.String() != before {
+		t.Fatal("the returned substitution aliases the input")
+	}
+	if _, ok := UnifyAtoms(NewAtom("p", A, A), NewAtom("p", a, b), in); ok {
+		t.Fatal("UnifyAtoms unified X with two constants")
+	}
+	if in.String() != before {
+		t.Fatalf("failure changed the input: %s -> %s", before, in)
+	}
+}
+
+// TestUnifyAtomsMatchesReference compares UnifyAtoms with the
+// clone-per-binding reference on random atoms over few variables and
+// constants, so repeated variables, chains and constant clashes all
+// occur, with and without a non-empty starting substitution.
+func TestUnifyAtomsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	terms := []Term{Var("X"), Var("Y"), Var("Z"), Var("W"), Const("a"), Const("b")}
+	atom := func() Atom {
+		args := make([]Term, 1+rng.Intn(4))
+		for i := range args {
+			args[i] = terms[rng.Intn(len(terms))]
+		}
+		return Atom{Pred: "p", Args: args}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := atom(), atom()
+		if rng.Intn(8) == 0 {
+			b.Pred = "q"
+		}
+		s := Subst{}
+		for j := rng.Intn(3); j > 0; j-- {
+			s, _ = unifyAtomsReference(NewAtom("s", terms[rng.Intn(4)]), NewAtom("s", terms[rng.Intn(len(terms))]), s)
+		}
+		before := s.String()
+		got, ok := UnifyAtoms(a, b, s)
+		want, wantOK := unifyAtomsReference(a, b, s)
+		if ok != wantOK || got.String() != want.String() {
+			t.Fatalf("UnifyAtoms(%s, %s, %s) = %s, %v; reference %s, %v", a, b, before, got, ok, want, wantOK)
+		}
+		if s.String() != before {
+			t.Fatalf("UnifyAtoms(%s, %s, %s) changed its input to %s", a, b, before, s)
+		}
+	}
+}
+
+// TestIsSafeZeroAllocs gates the plan-query safety check, which runs on
+// every built plan query: it scans the body without collecting its
+// variables.
+func TestIsSafeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	q := MustParseQuery("Q(A, M, R) :- play-in(A, M), review-of(R, M), american(M)")
+	if n := testing.AllocsPerRun(100, func() {
+		if !q.IsSafe() {
+			t.Fatal("safe query reported unsafe")
+		}
+	}); n != 0 {
+		t.Fatalf("IsSafe allocates %.1f times per call, want 0", n)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -355,5 +357,43 @@ func TestQPSPacing(t *testing.T) {
 	}
 	if min := 5 * (time.Second / 50); time.Since(start) < min {
 		t.Errorf("paced run finished in %v, want >= %v", time.Since(start), min)
+	}
+}
+
+// TestConcurrentRequestsShareOnePrepared: requests that arrive together
+// for one cold canonical key share one cached mediator.Prepared, so
+// their sessions fill its soundness memo concurrently, some on a
+// pipelined producer goroutine. Every stream must carry the plans a
+// lone request gets; under -race this checks the shared memo.
+func TestConcurrentRequestsShareOnePrepared(t *testing.T) {
+	cfg := LoadConfig{K: 10, Algorithm: "streamer", Measure: "chain", Parallelism: 2}
+	_, lone := testServer(t, nil)
+	want, err := StreamPlans(context.Background(), lone.URL, cfg, testQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := testServer(t, nil)
+	const workers = 6
+	got := make([][]string, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = StreamPlans(context.Background(), ts.URL, cfg, testQuery)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("request %d streamed %v, a lone request %v", i, got[i], want)
+		}
+	}
+	if n := s.Registry().Snapshot().Counters["server.cache_misses"]; n != 1 {
+		t.Errorf("cache misses = %d, want 1 (one shared Prepared)", n)
 	}
 }
